@@ -18,7 +18,7 @@ from .density import (
     lift_rank,
     subpermanent_constraint,
 )
-from .errors import DecompositionError, NotBijectiveMap, PermrankError
+from .errors import DecompositionError, InvalidRange, NotBijectiveMap, PermrankError
 from .fields import field_from_name
 from .harness import (
     verify_converse_sampled,
@@ -70,19 +70,16 @@ def _load_map(path: str):
 
 
 def _parse_int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part != ""]
+    try:
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise InvalidRange(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permrank",
         description="Exact permanental rank computations and preserver decisions.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker count (kernels are vectorized; 1 worker is used)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -162,8 +159,9 @@ def _parse_constraint(spec: str):
     if parts[0] == "one" and len(parts) == 1:
         return constant_one()
     if parts[0] == "entry" and len(parts) == 2:
-        i, j = _parse_int_list(parts[1])
-        return entry_constraint(i, j)
+        position = _parse_int_list(parts[1])
+        if len(position) == 2:
+            return entry_constraint(*position)
     if parts[0] == "perminor" and len(parts) == 3:
         return subpermanent_constraint(_parse_int_list(parts[1]), _parse_int_list(parts[2]))
     raise PermrankError(f"unknown constraint spec {spec!r}")
@@ -201,6 +199,8 @@ def _cmd_prk(args, parser) -> int:
 
 def _cmd_classify_subspace(args, parser) -> int:
     docs = _load_json(args.basis)
+    if not isinstance(docs, list):
+        raise PermrankError("basis file must hold a JSON list of matrices")
     mats = [matrix_from_json(d) for d in docs]
     if not mats:
         raise PermrankError("basis file holds no matrices")
@@ -372,8 +372,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return _HANDLERS[args.command](args, parser)
     except PermrankError as exc:

@@ -29,6 +29,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _parse_fraction(text: str, field_name: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise InvalidField(f"cannot parse {text!r} as a scalar of {field_name}") from None
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {text!r}") from None
+
+
 class Field:
     """Common interface of the two supported coefficient fields.
 
@@ -123,7 +132,7 @@ class PrimeField(Field):
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, str):
-            return self.coerce(Fraction(x))
+            return self.coerce(_parse_fraction(x, self.name))
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:
@@ -179,8 +188,10 @@ class Rationals(Field):
             raise InvalidField(f"cannot coerce {x!r} into Q (exact values only)")
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, (int, str)):
+        if isinstance(x, int):
             return Fraction(x)
+        if isinstance(x, str):
+            return _parse_fraction(x, self.name)
         raise InvalidField(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
@@ -216,6 +227,8 @@ QQ = Rationals()
 
 def field_from_name(name: str) -> Field:
     """Parse a field tag: ``"Q"``, ``"Fp:<p>"``, or the short form ``"F<p>"``."""
+    if not isinstance(name, str):
+        raise InvalidField(f"field tag must be a string, got {name!r}")
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):

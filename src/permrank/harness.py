@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
+from itertools import permutations, product
 
 from .density import constant_one, entry_constraint, lift_rank, subpermanent_constraint
 from .errors import InvalidRange
@@ -34,8 +34,7 @@ from .sampling import (
     random_permutation,
     sample_bounded_prk,
 )
-from .subspace import CanonicalSubspace, canonical_basis
-from .theta import build_theta, pair_weight, verify_component_structure
+from .theta import _check_component_structure, _weight_mismatches, build_theta
 
 
 @dataclass
@@ -71,10 +70,6 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def _field_tag(field: Field) -> str:
-    return field.name
-
-
 def verify_invariance(
     n: int, field: Field, trials: int = 500, seed: int = 0
 ) -> VerificationReport:
@@ -84,7 +79,7 @@ def verify_invariance(
         raise InvalidRange("invariance suite is capped at n=6")
     report = VerificationReport(
         suite="invariance",
-        params={"n": n, "field": _field_tag(field), "trials": trials, "seed": seed},
+        params={"n": n, "field": field.name, "trials": trials, "seed": seed},
         mode="random",
     )
     start = time.monotonic()
@@ -127,7 +122,7 @@ def enumerate_canonical_preservers(n: int, p: int):
     sigma2, d1, d2, each lexicographic.
     """
     field = PrimeField(p)
-    perms = [Permutation(images) for images in _all_permutations(n)]
+    perms = [Permutation(images) for images in permutations(range(1, n + 1))]
     nonzero = [Scalar(v, field) for v in field.nonzero_elements()]
     diagonals = list(product(nonzero, repeat=n))
     for flag in (False, True):
@@ -142,12 +137,6 @@ def enumerate_canonical_preservers(n: int, p: int):
                             sigma2=sigma2,
                             d2=d2,
                         )
-
-
-def _all_permutations(n: int):
-    from itertools import permutations as iperm
-
-    return iperm(range(1, n + 1))
 
 
 def verify_forward_exhaustive(n: int, k: int, p: int) -> VerificationReport:
@@ -219,26 +208,19 @@ def verify_theta(n: int, k: int) -> VerificationReport:
         suite="theta", params={"n": n, "k": k}, mode="exhaustive"
     )
     start = time.monotonic()
-    structure = verify_component_structure(n, k)
-    report.cases += 1
     graph = build_theta(n, k, cross_validate=False)
-    field = PrimeField(3)
-    bases = [
-        canonical_basis(CanonicalSubspace(v.orientation, v.support), n, field)
-        for v in graph.vertices
-    ]
-    for u, v, w in graph.edges():
-        got = bases[u].intersect(bases[v]).dim
-        if got != w or w != pair_weight(n, graph.vertices[u], graph.vertices[v]):
-            report.failures.append(
-                {
-                    "u": graph.vertices[u].label,
-                    "v": graph.vertices[v].label,
-                    "closed_form": w,
-                    "echelon": got,
-                }
-            )
-        report.cases += 1
+    structure = _check_component_structure(graph)
+    report.cases += 1
+    for u, v, w, got in _weight_mismatches(graph):
+        report.failures.append(
+            {
+                "u": graph.vertices[u].label,
+                "v": graph.vertices[v].label,
+                "closed_form": w,
+                "echelon": got,
+            }
+        )
+    report.cases += len(graph.weights)
     report.params.update(structure)
     report.seconds = time.monotonic() - start
     return report

@@ -56,10 +56,6 @@ def rank(vectors, field: Field) -> int:
     return len(rref(vectors, field)[0])
 
 
-def same_row_space(u_vectors, v_vectors, field: Field) -> bool:
-    return rref(u_vectors, field)[0] == rref(v_vectors, field)[0]
-
-
 def in_row_space(vector, basis_vectors, field: Field) -> bool:
     stacked = list(basis_vectors) + [vector]
     return rank(stacked, field) == rank(basis_vectors, field)
@@ -94,23 +90,6 @@ def invert(matrix_rows, field: Field):
     if len(reduced) < n or pivots != list(range(n)):
         return None
     return [row[n:] for row in reduced]
-
-
-def kernel_basis(matrix_rows, field: Field):
-    """Basis of the right null space of ``A`` (rows of the result)."""
-    width = len(matrix_rows[0]) if matrix_rows else 0
-    reduced, pivots = rref(matrix_rows, field)
-    zero, one = field.zero, field.one
-    neg = field.neg
-    free_cols = [c for c in range(width) if c not in pivots]
-    out = []
-    for free in free_cols:
-        vec = [zero] * width
-        vec[free] = one
-        for row, col in zip(reduced, pivots):
-            vec[col] = neg(row[free])
-        out.append(vec)
-    return out
 
 
 def intersection(u_vectors, v_vectors, field: Field):

@@ -299,6 +299,11 @@ def matrix_from_json(doc: dict) -> Matrix:
         entries = doc["entries"]
     except (KeyError, TypeError) as exc:
         raise InvalidField(f"malformed matrix document: {exc}") from None
+    for name, value in (("rows", rows), ("cols", cols)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidField(f"matrix {name} must be an integer, got {value!r}")
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise InvalidField("matrix entries must be a list of row lists")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ShapeMismatch("entries do not match the declared shape")
     return mat(entries, field) if rows else Matrix(rows, cols, [], field)

@@ -108,8 +108,21 @@ class PrkWitness:
     per_value: Scalar
 
 
-def _sub_rows(rows, row_idx, col_idx):
-    return [[rows[i][j] for j in col_idx] for i in row_idx]
+def _first_nonzero_minor(rows, field: Field, m: int):
+    """First ``m``-square submatrix with nonzero permanent, or ``None``.
+
+    Row index sets are taken in lexicographic order and, within each, column
+    index sets too; returns ``(row_idx, col_idx, value)`` with 0-based indices.
+    """
+    n = len(rows)
+    zero = field.zero
+    for row_idx in combinations(range(n), m):
+        picked = [rows[i] for i in row_idx]
+        for col_idx in combinations(range(n), m):
+            value = _per_fast_raw([[r[j] for j in col_idx] for r in picked], field)
+            if value != zero:
+                return row_idx, col_idx, value
+    return None
 
 
 def prk(a: Matrix) -> PrkWitness:
@@ -117,23 +130,24 @@ def prk(a: Matrix) -> PrkWitness:
 
     Searches sizes in descending order and index-set pairs in lexicographic
     order, returning the first submatrix found with nonzero permanent, so the
-    reported witness is reproducible.
+    reported witness is reproducible.  Raises :class:`TooLarge` when ``n``
+    exceeds the 2^n guard of :func:`per_fast`.
     """
     n = _require_square(a)
+    if n > PER_FAST_MAX:
+        raise TooLarge(f"n={n} exceeds the 2^n guard {PER_FAST_MAX}")
     field = a.field
     rows = a.raw_rows()
-    zero = field.zero
     for k in range(n, 0, -1):
-        for row_idx in combinations(range(n), k):
-            for col_idx in combinations(range(n), k):
-                value = _per_fast_raw(_sub_rows(rows, row_idx, col_idx), field)
-                if value != zero:
-                    return PrkWitness(
-                        rank=k,
-                        row_set=tuple(i + 1 for i in row_idx),
-                        col_set=tuple(j + 1 for j in col_idx),
-                        per_value=Scalar(value, field),
-                    )
+        found = _first_nonzero_minor(rows, field, k)
+        if found is not None:
+            row_idx, col_idx, value = found
+            return PrkWitness(
+                rank=k,
+                row_set=tuple(i + 1 for i in row_idx),
+                col_set=tuple(j + 1 for j in col_idx),
+                per_value=Scalar(value, field),
+            )
     return PrkWitness(rank=0, row_set=(), col_set=(), per_value=Scalar(field.one, field))
 
 
@@ -141,19 +155,14 @@ def prk_decide_leq(a: Matrix, k: int) -> bool:
     """True exactly when every ``(k+1)``-square submatrix has zero permanent.
 
     Short-circuits on the first nonzero permanent; this is the hot-loop
-    membership test for the bounded-rank sets.
+    membership test for the bounded-rank sets.  Raises :class:`TooLarge`
+    when ``k+1`` exceeds the 2^n guard.
     """
     n = _require_square(a)
     if not (0 <= k <= n):
         raise InvalidRange(f"k={k} outside 0..{n}")
     if k >= n:
         return True
-    field = a.field
-    rows = a.raw_rows()
-    zero = field.zero
-    m = k + 1
-    for row_idx in combinations(range(n), m):
-        for col_idx in combinations(range(n), m):
-            if _per_fast_raw(_sub_rows(rows, row_idx, col_idx), field) != zero:
-                return False
-    return True
+    if k + 1 > PER_FAST_MAX:
+        raise TooLarge(f"k+1={k + 1} exceeds the 2^n guard {PER_FAST_MAX}")
+    return _first_nonzero_minor(a.raw_rows(), a.field, k + 1) is None

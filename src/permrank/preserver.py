@@ -46,7 +46,7 @@ from .errors import (
 from .fields import Field, PrimeField, Scalar, field_from_name
 from .matrices import Matrix, Permutation, matrix_to_json, unit
 from .permanent import prk_decide_leq
-from .sampling import probe_family, sample_bounded_prk
+from .sampling import probe_family, random_subspace_member, sample_bounded_prk
 from .subspace import COL, ROW, CanonicalSubspace, SubspaceBasis, canonical_basis
 
 PRESERVER = "preserver"
@@ -437,21 +437,12 @@ def _search_counterexample(tmap: LinearMap, k: int, *, seed: int, samples: int):
         if prk_decide_leq(x, k) and not prk_decide_leq(tmap.apply(x), k):
             return x
     # (c) members of each supported subspace, pushed through invariance ops
-    from .sampling import random_invariance_op, random_scalar
-
     rng = random.Random(f"preserver-search:{seed}")
     for orientation in (ROW, COL):
         for support in combinations(range(1, n + 1), k):
             basis = canonical_basis(CanonicalSubspace(orientation, support), n, field)
             for _ in range(3):
-                acc = [field.zero] * (n * n)
-                for b in basis.basis:
-                    c = random_scalar(rng, field).value
-                    if c != field.zero:
-                        acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, b.data)]
-                member = Matrix(n, n, acc, field)
-                for _ in range(rng.randrange(3)):
-                    member = random_invariance_op(rng, member)
+                member = random_subspace_member(rng, basis)
                 if not prk_decide_leq(tmap.apply(member), k):
                     return member
     # (d) rejection-sampled bounded-rank matrices
@@ -496,6 +487,7 @@ def check_equality_variant(
                         detail=f"unit ({i},{j}) has no preimage; the map is not surjective",
                     )
         return PreserverVerdict(kind=NOT_BIJECTIVE, detail="singular operator")
+    tmap._bijective = True  # invertible; spares check_preserves a second elimination
     bad_units = []
     size = n * n
     for i in range(1, n + 1):
@@ -548,6 +540,10 @@ def linear_map_from_json(doc: dict) -> LinearMap:
         rows = doc["matrix"]
     except (KeyError, TypeError) as exc:
         raise InvalidRange(f"malformed linear map document: {exc}") from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidRange(f"linear map size must be an integer, got {n!r}")
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InvalidRange("linear map matrix must be a list of row lists")
     if doc.get("vectorization", "row-major") != "row-major":
         raise InvalidRange("only row-major vectorization is supported")
     size = n * n

@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import combinations, permutations as iter_permutations
 
 from .fields import Field, PrimeField, Scalar
-from .matrices import Matrix, Permutation, permutation_matrix, diagonal, unit, zero_matrix
+from .matrices import Matrix, Permutation, permutation_matrix, diagonal, zero_matrix
 from .permanent import prk_decide_leq
-from .subspace import COL, ROW, CanonicalSubspace, canonical_basis
+from .subspace import COL, ROW, CanonicalSubspace, SubspaceBasis, canonical_basis
 
 
 def random_scalar(rng: random.Random, field: Field, *, nonzero: bool = False) -> Scalar:
@@ -61,6 +61,20 @@ def random_invariance_op(rng: random.Random, a: Matrix) -> Matrix:
     return a @ diagonal(random_nonsingular_diagonal(rng, n, field), field)
 
 
+def _probe(n: int, field: Field, i, m, j, l, extra_rows, extra_cols) -> Matrix:
+    """The signed block ``[[1, 1], [-1, 1]]`` on rows (i, m) and columns
+    (j, l), plus unit entries at ``zip(extra_rows, extra_cols)``."""
+    one = field.one
+    vals = [field.zero] * (n * n)
+    vals[(i - 1) * n + (j - 1)] = one
+    vals[(i - 1) * n + (l - 1)] = one
+    vals[(m - 1) * n + (j - 1)] = field.coerce(-1)
+    vals[(m - 1) * n + (l - 1)] = one
+    for r, c in zip(extra_rows, extra_cols):
+        vals[(r - 1) * n + (c - 1)] = one
+    return Matrix(n, n, vals, field)
+
+
 def probe_family(n: int, k: int, field: Field):
     """Deterministic family of rank-k matrices built from a signed 2x2 block.
 
@@ -71,8 +85,6 @@ def probe_family(n: int, k: int, field: Field):
     entrywise scalings that do not factor into row and column weights, which
     makes them effective counterexample probes.
     """
-    one = field.one
-    neg_one = field.neg(one)
     indices = range(1, n + 1)
     for i in indices:
         for m in indices:
@@ -86,14 +98,7 @@ def probe_family(n: int, k: int, field: Field):
                     col_rest = [c for c in indices if c not in (j, l)]
                     for extra_rows in combinations(row_rest, k - 1):
                         for extra_cols in iter_permutations(col_rest, k - 1):
-                            vals = [field.zero] * (n * n)
-                            vals[(i - 1) * n + (j - 1)] = one
-                            vals[(i - 1) * n + (l - 1)] = one
-                            vals[(m - 1) * n + (j - 1)] = neg_one
-                            vals[(m - 1) * n + (l - 1)] = one
-                            for r, c in zip(extra_rows, extra_cols):
-                                vals[(r - 1) * n + (c - 1)] = one
-                            yield Matrix(n, n, vals, field)
+                            yield _probe(n, field, i, m, j, l, extra_rows, extra_cols)
 
 
 def _random_probe(rng: random.Random, n: int, k: int, field: Field) -> Matrix:
@@ -104,15 +109,16 @@ def _random_probe(rng: random.Random, n: int, k: int, field: Field) -> Matrix:
     col_rest = [c for c in range(1, n + 1) if c not in (j, l)]
     extra_rows = rng.sample(row_rest, k - 1)
     extra_cols = rng.sample(col_rest, k - 1)
-    one = field.one
-    vals = [field.zero] * (n * n)
-    vals[(i - 1) * n + (j - 1)] = one
-    vals[(i - 1) * n + (l - 1)] = one
-    vals[(m - 1) * n + (j - 1)] = field.neg(one)
-    vals[(m - 1) * n + (l - 1)] = one
-    for r, c in zip(extra_rows, extra_cols):
-        vals[(r - 1) * n + (c - 1)] = one
-    return Matrix(n, n, vals, field)
+    return _probe(n, field, i, m, j, l, extra_rows, extra_cols)
+
+
+def random_subspace_member(rng: random.Random, basis: SubspaceBasis) -> Matrix:
+    """A random member of the span of ``basis``, passed through up to two
+    random invariance operations (coefficients are drawn first)."""
+    member = basis.combination([random_scalar(rng, basis.field).value for _ in basis.basis])
+    for _ in range(rng.randrange(3)):
+        member = random_invariance_op(rng, member)
+    return member
 
 
 def sample_bounded_prk(rng: random.Random, n: int, k: int, field: Field) -> Matrix:
@@ -132,14 +138,7 @@ def sample_bounded_prk(rng: random.Random, n: int, k: int, field: Field) -> Matr
             orientation = rng.choice((ROW, COL))
             support = tuple(sorted(rng.sample(range(1, n + 1), k)))
             basis = canonical_basis(CanonicalSubspace(orientation, support), n, field)
-            coeffs = [random_scalar(rng, field).value for _ in basis.basis]
-            acc = [field.zero] * (n * n)
-            for c, b in zip(coeffs, basis.basis):
-                if c != field.zero:
-                    acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, b.data)]
-            candidate = Matrix(n, n, acc, field)
-            for _ in range(rng.randrange(3)):
-                candidate = random_invariance_op(rng, candidate)
+            candidate = random_subspace_member(rng, basis)
         elif strategy < 5 and n >= max(k + 1, 2):
             candidate = _random_probe(rng, n, k, field)
             scale = random_scalar(rng, field, nonzero=True)
@@ -174,22 +173,3 @@ def random_bijective_map(rng: random.Random, n: int, field: Field, *, max_tries:
         if candidate.is_bijective():
             return candidate
     raise RuntimeError("failed to sample an invertible operator")
-
-
-def perturb_unit_image(rng: random.Random, tmap, delta: Matrix | None = None):
-    """Alter one unit image of a linear map (used to break preservers)."""
-    from .preserver import LinearMap
-
-    n, field = tmap.n, tmap.field
-    i = rng.randrange(1, n + 1)
-    j = rng.randrange(1, n + 1)
-    if delta is None:
-        a = rng.randrange(1, n + 1)
-        b = rng.randrange(1, n + 1)
-        delta = unit(a, b, n, field)
-    col = (i - 1) * n + (j - 1)
-    rows = tmap.matrix.raw_rows()
-    for r in range(n * n):
-        rows[r][col] = field.add(rows[r][col], delta.data[r])
-    flat = [v for row in rows for v in row]
-    return LinearMap(n=n, field=field, matrix=Matrix(n * n, n * n, flat, field))

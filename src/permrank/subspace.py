@@ -43,6 +43,14 @@ COL = "col"
 SPAN_BUDGET = 1 << 24
 
 
+def _check_members(n: int, field: Field, mats):
+    for m in mats:
+        if m.rows != n or m.cols != n:
+            raise ShapeMismatch(f"basis matrix is {m.rows}x{m.cols}, ambient is {n}")
+        if m.field != field:
+            raise FieldMismatch("basis matrices must share the subspace field")
+
+
 class SubspaceBasis:
     """A subspace of ``Mat_n`` given by a linearly independent basis."""
 
@@ -50,11 +58,7 @@ class SubspaceBasis:
 
     def __init__(self, n: int, field: Field, basis, *, _checked: bool = False):
         basis = tuple(basis)
-        for m in basis:
-            if m.rows != n or m.cols != n:
-                raise ShapeMismatch(f"basis matrix is {m.rows}x{m.cols}, ambient is {n}")
-            if m.field != field:
-                raise FieldMismatch("basis matrices must share the subspace field")
+        _check_members(n, field, basis)
         self.n = n
         self.field = field
         self.basis = basis
@@ -66,6 +70,8 @@ class SubspaceBasis:
     @classmethod
     def span(cls, n: int, field: Field, mats) -> "SubspaceBasis":
         """Subspace spanned by arbitrary matrices (dependencies dropped)."""
+        mats = tuple(mats)
+        _check_members(n, field, mats)
         rows = [list(m.data) for m in mats]
         reduced, _ = linalg.rref(rows, field)
         basis = [Matrix(n, n, row, field) for row in reduced]
@@ -77,6 +83,20 @@ class SubspaceBasis:
 
     def vectorized(self) -> list:
         return [list(m.data) for m in self.basis]
+
+    def combination(self, coeffs) -> Matrix:
+        """The member ``sum(c * b)`` for raw field values ``coeffs``, one per
+        basis matrix ``b``."""
+        coeffs = tuple(coeffs)
+        if len(coeffs) != self.dim:
+            raise ShapeMismatch(f"need {self.dim} coefficients, got {len(coeffs)}")
+        field = self.field
+        add, mul, zero = field.add, field.mul, field.zero
+        acc = [zero] * (self.n * self.n)
+        for c, b in zip(coeffs, self.basis):
+            if c != zero:
+                acc = [add(x, mul(c, y)) for x, y in zip(acc, b.data)]
+        return Matrix(self.n, self.n, acc, field)
 
     def reduced_rows(self) -> list:
         if self._reduced is None:
@@ -187,18 +207,12 @@ def within_prk_bound(
     if mode == "sample":
         rng = random.Random(f"span:{seed}")
         rational = not isinstance(field, PrimeField)
-        add, mul, zero = field.add, field.mul, field.zero
-        vectors = [m.data for m in v.basis]
         for _ in range(samples):
             if rational:
                 coeffs = [field.coerce(rng.randint(-3, 3)) for _ in range(v.dim)]
             else:
                 coeffs = [rng.randrange(field.p) for _ in range(v.dim)]
-            acc = [zero] * (n * n)
-            for c, vec in zip(coeffs, vectors):
-                if c != zero:
-                    acc = [add(a, mul(c, b)) for a, b in zip(acc, vec)]
-            member = Matrix(n, n, acc, field)
+            member = v.combination(coeffs)
             if not prk_decide_leq(member, k):
                 return SpanVerdict("no", member)
         return SpanVerdict("unknown")

@@ -102,24 +102,26 @@ def build_theta(n: int, k: int, *, cross_validate: bool | None = None) -> ThetaG
     if cross_validate is None:
         cross_validate = n <= 4
     if cross_validate:
-        _cross_validate_weights(graph)
+        for u, v, w, got in _weight_mismatches(graph):
+            raise VerificationError(
+                f"weight mismatch at ({vertices[u].label}, "
+                f"{vertices[v].label}): closed form {w}, echelon {got}"
+            )
     return graph
 
 
-def _cross_validate_weights(graph: ThetaGraph):
-    """Check every closed-form weight against an echelon-based intersection."""
+def _weight_mismatches(graph: ThetaGraph):
+    """Yield ``(u, v, weight, echelon)`` for every edge whose stored weight
+    differs from an echelon-based intersection dimension, in edge order."""
     field = PrimeField(3)
     bases = [
         canonical_basis(CanonicalSubspace(v.orientation, v.support), graph.n, field)
         for v in graph.vertices
     ]
-    for (u, v), w in graph.weights.items():
+    for u, v, w in graph.edges():
         got = bases[u].intersect(bases[v]).dim
         if got != w:
-            raise VerificationError(
-                f"weight mismatch at ({graph.vertices[u].label}, "
-                f"{graph.vertices[v].label}): closed form {w}, echelon {got}"
-            )
+            yield u, v, w, got
 
 
 def build_theta_hat(graph: ThetaGraph) -> ThetaHat:
@@ -187,7 +189,12 @@ def verify_component_structure(n: int, k: int) -> dict:
     threshold subgraph is connected.  Raises VerificationError on any
     mismatch; a failure would indicate an implementation bug.
     """
-    graph = build_theta(n, k)
+    return _check_component_structure(build_theta(n, k))
+
+
+def _check_component_structure(graph: ThetaGraph) -> dict:
+    """The checks of :func:`verify_component_structure` on a built graph."""
+    n, k = graph.n, graph.k
     hat = build_theta_hat(graph)
     comps = components(hat)
     half = len(graph.vertices) // 2

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import permrank
 from permrank import (
     LinearMap,
+    PrimeField,
     identity,
     linear_map_to_json,
     mat,
@@ -295,10 +300,58 @@ class TestUsage:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["per", "/nonexistent/m.json"]) == 2
 
-    def test_threads_validated(self, id3_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "0", "per", id3_path])
-        assert exc.value.code == 2
 
-    def test_threads_accepted(self, id3_path, capsys):
-        assert main(["--threads", "4", "per", id3_path]) == 0
+_ID3_MAP = linear_map_to_json(LinearMap.identity(3, PrimeField(3)))
+_COMPOSE = ["compose", "--field", "Q", "--sigma2", "1,2,3", "--d2", "1,1,1"]
+
+
+def _matrix_doc(**changes):
+    doc = {"field": "Q", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        pytest.param(["per"], _matrix_doc(entries=[["1/0", "0"], ["0", "1"]]), id="q-zero-denominator"),
+        pytest.param(
+            ["per"], _matrix_doc(field="F5", entries=[["1/0", "0"], ["0", "1"]]), id="fp-zero-denominator"
+        ),
+        pytest.param(["per"], _matrix_doc(entries=[["abc", "0"], ["0", "1"]]), id="unparsable-entry"),
+        pytest.param(["per"], _matrix_doc(field=7), id="field-not-a-string"),
+        pytest.param(["per"], _matrix_doc(entries=5), id="entries-not-a-list"),
+        pytest.param(["per"], _matrix_doc(rows="2"), id="rows-not-an-int"),
+        pytest.param(["decompose", "--k", "1"], dict(_ID3_MAP, n="3"), id="map-n-not-an-int"),
+        pytest.param(["decompose", "--k", "1"], dict(_ID3_MAP, matrix=5), id="map-matrix-not-a-list"),
+        pytest.param(
+            ["classify-subspace", "--k", "1"], [_matrix_doc(), _matrix_doc(field="F5")], id="basis-mixed-fields"
+        ),
+        pytest.param(
+            ["classify-subspace", "--k", "1"],
+            [_matrix_doc(cols=3, entries=[["1", "0", "0"]] * 2)],
+            id="basis-not-square",
+        ),
+        pytest.param(["classify-subspace", "--k", "1"], 5, id="basis-not-a-list"),
+        pytest.param(_COMPOSE + ["--d1", "1,1/0,1", "--sigma1", "1,2,3"], None, id="compose-zero-denominator"),
+        pytest.param(_COMPOSE + ["--d1", "1,x,1", "--sigma1", "1,2,3"], None, id="compose-unparsable-scalar"),
+        pytest.param(_COMPOSE + ["--d1", "1,1,1", "--sigma1", "1,a,3"], None, id="compose-non-integer-image"),
+        pytest.param(["lift", "--constraint", "entry:1"], _matrix_doc(), id="entry-constraint-one-index"),
+    ],
+)
+def test_bad_input_exits_two_without_traceback(tmp_path, command, doc):
+    args = list(command)
+    if doc is not None:
+        args.insert(1, _write(tmp_path, "input.json", doc))
+    src = os.path.dirname(os.path.dirname(permrank.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "permrank.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

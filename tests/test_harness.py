@@ -3,6 +3,7 @@ import json
 import pytest
 
 from permrank import (
+    build_theta,
     diagonal,
     enumerate_canonical_preservers,
     permutation_matrix,
@@ -70,6 +71,21 @@ class TestTheta:
         assert report.ok
         assert report.params["components"] == 1
         assert report.params["zero_weight_edges"] == 6
+
+    def test_weight_mismatch_is_recorded(self, monkeypatch):
+        from permrank import harness
+
+        def corrupted(n, k, **kwargs):
+            graph = build_theta(n, k, **kwargs)
+            graph.weights[(0, 10)] = 3  # R{1,2} -- C{1,2}; the true weight is 4
+            return graph
+
+        monkeypatch.setattr(harness, "build_theta", corrupted)
+        report = verify_theta(5, 2)
+        assert report.failures == [
+            {"u": "R{1,2}", "v": "C{1,2}", "closed_form": 3, "echelon": 4}
+        ]
+        assert report.cases == 1 + 190
 
 
 class TestDensity:

@@ -149,6 +149,14 @@ class TestPrkDecide:
     def test_k_equals_n_is_trivially_true(self, Q):
         assert prk_decide_leq(identity(3, Q), 3)
 
+    def test_size_guard(self, Q):
+        big = zero_matrix(17, Q)
+        with pytest.raises(TooLarge, match="n=17"):
+            prk(big)
+        with pytest.raises(TooLarge, match="k\\+1=17"):
+            prk_decide_leq(big, 16)
+        assert prk_decide_leq(big, 0)
+
     def test_range_validation(self, Q):
         with pytest.raises(InvalidRange):
             prk_decide_leq(identity(3, Q), -1)

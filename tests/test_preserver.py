@@ -36,7 +36,9 @@ from permrank.errors import (
     UnitImageNotMonomial,
     UnsupportedSize,
 )
+from permrank.preserver import _search_counterexample
 from permrank.sampling import (
+    probe_family,
     random_bijective_map,
     random_canonical_preserver,
     random_matrix,
@@ -394,3 +396,42 @@ class TestJson:
         rng = random.Random(17)
         cp = random_canonical_preserver(rng, 4, F5)
         assert canonical_from_json(canonical_to_json(cp)) == cp
+
+
+class TestSeededOutputs:
+    """Draws pinned to the values the seeded generators have always produced."""
+
+    def test_sample_bounded_prk_draws(self, F5, Q):
+        rng = random.Random("pin")
+        got = [sample_bounded_prk(rng, 4, 2, F5) for _ in range(4)]
+        assert got == [
+            mat([[0, 0, 0, 4], [0, 0, 3, 4], [0, 0, 1, 1], [0, 0, 1, 4]], F5),
+            mat([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 4, 0], [0, 0, 0, 0]], F5),
+            mat([[0, 0, 2, 0], [0, 0, 0, 0], [0, 2, 0, 2], [0, 2, 0, 3]], F5),
+            mat([[0, 0, 3, 3], [0, 0, 1, 0], [0, 0, 0, 4], [0, 0, 3, 1]], F5),
+        ]
+        rng = random.Random("pin")
+        got = [sample_bounded_prk(rng, 3, 1, Q) for _ in range(4)]
+        assert got == [
+            mat([[0, 2, 0], [0, "3/2", 0], [0, 2, 0]], Q),
+            mat([["-4/3", 0, 0], [2, 0, 0], [2, 0, 0]], Q),
+            mat([[0, 0, 0], ["3/2", 0, "3/2"], ["3/2", 0, "-3/2"]], Q),
+            mat([["5/3", 0, "-5/3"], [0, 0, 0], ["5/3", 0, "5/3"]], Q),
+        ]
+
+    def test_search_stage_c_witnesses(self, F3):
+        # A -> A + (sum of all entries) E_11.  Over F_3 every unit image and
+        # every k=2 probe image keeps per = 0, so stages (a) and (b) find
+        # nothing and the witness comes from the supported-subspace stage.
+        t = LinearMap.from_unit_images(3, F3, lambda i, j: unit(i, j, 3, F3) + unit(1, 1, 3, F3))
+        k = 2
+        assert all(
+            prk_decide_leq(t.apply(unit(i, j, 3, F3)), k) for i in range(1, 4) for j in range(1, 4)
+        )
+        assert all(prk_decide_leq(t.apply(x), k) for x in probe_family(3, k, F3))
+        got = [_search_counterexample(t, k, seed=seed, samples=0) for seed in (0, 1, 3)]
+        assert got == [
+            mat([[0, 2, 1], [0, 0, 2], [0, 1, 2]], F3),
+            mat([[0, 0, 0], [1, 2, 1], [1, 1, 2]], F3),
+            mat([[0, 0, 0], [2, 0, 2], [0, 1, 0]], F3),
+        ]

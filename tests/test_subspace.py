@@ -11,12 +11,19 @@ from permrank import (
     canonical_basis,
     classify_maximal,
     identity,
+    mat,
     prk,
     unit,
     within_prk_bound,
     zero_matrix,
 )
-from permrank.errors import BudgetExceeded, DependentBasis, InvalidRange
+from permrank.errors import (
+    BudgetExceeded,
+    DependentBasis,
+    FieldMismatch,
+    InvalidRange,
+    ShapeMismatch,
+)
 from permrank.sampling import random_matrix
 from permrank import linalg
 
@@ -102,6 +109,20 @@ class TestSubspaceOps:
         v = canonical_basis(CanonicalSubspace(ROW, (2,)), 3, Q)
         assert v.contains(unit(2, 3, 3, Q))
         assert not v.contains(unit(1, 1, 3, Q))
+
+    def test_combination_hand_computed(self, F5):
+        v = SubspaceBasis(2, F5, [unit(1, 1, 2, F5), unit(1, 2, 2, F5) + unit(2, 1, 2, F5)])
+        assert v.combination([2, 3]) == mat([[2, 3], [3, 0]], F5)
+        assert v.combination([0, 4]) == mat([[0, 4], [4, 0]], F5)
+        with pytest.raises(ShapeMismatch):
+            v.combination([1])
+
+    def test_span_checks_shape_and_field(self, F3, F5):
+        with pytest.raises(FieldMismatch):
+            SubspaceBasis.span(2, F3, [unit(1, 1, 2, F3), unit(1, 2, 2, F5)])
+        wide = mat([[1, 0, 0], [0, 1, 0]], F3)
+        with pytest.raises(ShapeMismatch, match="2x3"):
+            SubspaceBasis.span(2, F3, [wide])
 
     def test_dependent_basis_rejected(self, Q):
         e = unit(1, 1, 3, Q)
