@@ -87,19 +87,17 @@ def batch_prk_leq(mats: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
 def bounded_prk_table(n: int, p: int, k: int):
     """Precomputed data for the full matrix space of size n over F_p.
 
-    Returns ``(mask, member_digits, member_codes)`` where ``mask[code]`` says
-    whether the matrix with that code has permanental rank <= k, and the
-    member arrays enumerate exactly the matrices satisfying it, in ascending
-    code order.  Cached so repeated exhaustive checks share the work.
+    Returns ``(mask, member_digits)`` where ``mask[code]`` says whether the
+    matrix with that code has permanental rank <= k, and ``member_digits``
+    enumerates exactly the matrices satisfying it, in ascending code order.
+    Cached so repeated exhaustive checks share the work.
     """
     width = n * n
     total = p**width
     mask = np.empty(total, dtype=bool)
     for start, digits in iter_digit_chunks(width, p):
         mask[start : start + digits.shape[0]] = batch_prk_leq(digits, n, k, p)
-    member_codes = np.flatnonzero(mask).astype(np.int64)
-    member_digits = code_digits(member_codes, width, p)
-    return mask, member_digits, member_codes
+    return mask, code_digits(np.flatnonzero(mask), width, p)
 
 
 def check_enumeration_budget(count: int, budget: int | None):

@@ -19,7 +19,7 @@ from .density import (
     subpermanent_constraint,
 )
 from .errors import DecompositionError, InvalidRange, NotBijectiveMap, PermrankError
-from .fields import field_from_name
+from .fields import QQ, PrimeField, field_from_name
 from .harness import (
     verify_converse_sampled,
     verify_density_chain,
@@ -261,11 +261,7 @@ def _cmd_decompose(args, parser) -> int:
         else:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    if args.json:
-        _emit_json(canonical_to_json(cp))
-    else:
-        doc = canonical_to_json(cp)
-        print(json.dumps(doc, indent=2))
+    _emit_json(canonical_to_json(cp))
     return EXIT_OK
 
 
@@ -286,9 +282,9 @@ def _cmd_check_preserver(args, parser) -> int:
         if verdict.detail:
             print(f"detail: {verdict.detail}")
         if verdict.canonical is not None:
-            print(json.dumps(canonical_to_json(verdict.canonical), indent=2))
+            _emit_json(canonical_to_json(verdict.canonical))
         if verdict.counterexample is not None:
-            print(json.dumps(matrix_to_json(verdict.counterexample), indent=2))
+            _emit_json(matrix_to_json(verdict.counterexample))
     if verdict.kind == PRESERVER:
         return EXIT_OK
     if verdict.kind in (NOT_PRESERVER, NOT_BIJECTIVE):
@@ -304,34 +300,28 @@ def _cmd_lift(args, parser) -> int:
         parser.error("--i and --j must be given together")
     if args.i is not None:
         position = (args.i, args.j)
-    lifted = lift_rank(a, constraint, position)
-    doc = matrix_to_json(lifted)
-    if args.json:
-        _emit_json(doc)
-    else:
-        print(json.dumps(doc, indent=2))
+    _emit_json(matrix_to_json(lift_rank(a, constraint, position)))
     return EXIT_OK
 
 
 def _cmd_verify(args, parser) -> int:
     suite = args.suite
+    p = 3 if args.p is None else args.p
+    # the suite signatures hold the default trial counts
+    trials = {} if args.trials is None else {"trials": args.trials}
     if suite == "invariance":
-        field = field_from_name(f"Fp:{args.p}") if args.p else field_from_name("Q")
+        field = QQ if args.p is None else PrimeField(args.p)
         seed = _require_seed(args, parser, "randomized suites")
-        report = verify_invariance(
-            args.n, field, trials=args.trials or 500, seed=seed
-        )
+        report = verify_invariance(args.n, field, seed=seed, **trials)
     elif suite == "thm12-forward":
         if args.k is None:
             parser.error("--k is required for this suite")
-        report = verify_forward_exhaustive(args.n, args.k, args.p or 3)
+        report = verify_forward_exhaustive(args.n, args.k, p)
     elif suite == "thm12-converse":
         if args.k is None:
             parser.error("--k is required for this suite")
         seed = _require_seed(args, parser, "randomized suites")
-        report = verify_converse_sampled(
-            args.n, args.k, args.p or 3, trials=args.trials or 200, seed=seed
-        )
+        report = verify_converse_sampled(args.n, args.k, p, seed=seed, **trials)
     elif suite == "theta":
         if args.k is None:
             parser.error("--k is required for this suite")
@@ -340,9 +330,7 @@ def _cmd_verify(args, parser) -> int:
         if args.k is None:
             parser.error("--k is required for this suite")
         seed = _require_seed(args, parser, "randomized suites")
-        report = verify_density_chain(
-            args.n, args.k, trials=args.trials or 100, seed=seed
-        )
+        report = verify_density_chain(args.n, args.k, seed=seed, **trials)
     if args.json:
         _emit_json(report.to_json_dict())
     else:

@@ -13,9 +13,11 @@ import random
 import time
 from dataclasses import dataclass, field as dataclass_field
 from itertools import permutations, product
+from math import factorial
 
+from ._batch import check_enumeration_budget
 from .density import constant_one, entry_constraint, lift_rank, subpermanent_constraint
-from .errors import InvalidRange
+from .errors import InvalidRange, UnsupportedSize
 from .fields import Field, PrimeField, Rationals, Scalar
 from .matrices import Permutation, diagonal, matrix_to_json, permutation_matrix
 from .permanent import prk
@@ -36,6 +38,9 @@ from .sampling import (
 )
 from .theta import _check_component_structure, _weight_mismatches, build_theta
 
+#: The forward suite refuses to enumerate more canonical preservers than this.
+FORWARD_BUDGET = 1 << 16
+
 
 @dataclass
 class VerificationReport:
@@ -52,8 +57,9 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self, *, include_timing: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        """The report without ``seconds``, so equal seeds give equal JSON."""
+        return {
             "suite": self.suite,
             "params": self.params,
             "mode": self.mode,
@@ -61,13 +67,15 @@ class VerificationReport:
             "failures": self.failures,
             "ok": self.ok,
         }
-        if include_timing:
-            doc["seconds"] = round(self.seconds, 3)
-        return doc
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
+
+
+def _check_trials(trials: int):
+    if trials < 0:
+        raise InvalidRange(f"trials must be >= 0, got {trials}")
 
 
 def verify_invariance(
@@ -77,6 +85,7 @@ def verify_invariance(
     permutation, and row/column rescaling; check all five on random inputs."""
     if n > 6:
         raise InvalidRange("invariance suite is capped at n=6")
+    _check_trials(trials)
     report = VerificationReport(
         suite="invariance",
         params={"n": n, "field": field.name, "trials": trials, "seed": seed},
@@ -140,7 +149,14 @@ def enumerate_canonical_preservers(n: int, p: int):
 
 
 def verify_forward_exhaustive(n: int, k: int, p: int) -> VerificationReport:
-    """Every canonical preserver passes the exhaustive membership check."""
+    """Every canonical preserver passes the exhaustive membership check.
+
+    Refuses with :class:`BudgetExceeded` when the case count exceeds
+    :data:`FORWARD_BUDGET`.
+    """
+    if n < 3:
+        raise UnsupportedSize(f"preserver decisions need n >= 3, got n={n}")
+    check_enumeration_budget(2 * factorial(n) ** 2 * (p - 1) ** (2 * n), FORWARD_BUDGET)
     report = VerificationReport(
         suite="thm12-forward",
         params={"n": n, "k": k, "p": p},
@@ -170,6 +186,7 @@ def verify_converse_sampled(
     Either the decomposition succeeds (and recomposes to the same operator) or
     both routes report a verified counterexample.
     """
+    _check_trials(trials)
     field = PrimeField(p)
     report = VerificationReport(
         suite="thm12-converse",
@@ -233,6 +250,7 @@ def verify_density_chain(
     preserved; the affine-slope assertions run inside every lift."""
     if not (1 <= k <= n):
         raise InvalidRange(f"k={k} outside 1..{n}")
+    _check_trials(trials)
     field = Rationals()
     report = VerificationReport(
         suite="density",

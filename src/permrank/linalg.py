@@ -23,7 +23,7 @@ def rref(vectors, field: Field):
         return [], []
     width = len(rows[0])
     zero = field.zero
-    sub, mul, div = field.sub, field.mul, field.div
+    sub, mul = field.sub, field.mul
     pivots = []
     r = 0
     for col in range(width):
@@ -54,42 +54,6 @@ def rref(vectors, field: Field):
 
 def rank(vectors, field: Field) -> int:
     return len(rref(vectors, field)[0])
-
-
-def in_row_space(vector, basis_vectors, field: Field) -> bool:
-    stacked = list(basis_vectors) + [vector]
-    return rank(stacked, field) == rank(basis_vectors, field)
-
-
-def solve(matrix_rows, rhs, field: Field):
-    """One exact solution of ``A x = rhs``, or ``None`` if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    width = len(matrix_rows[0]) if matrix_rows else 0
-    aug = [list(row) + [b] for row, b in zip(matrix_rows, rhs)]
-    reduced, pivots = rref(aug, field)
-    zero = field.zero
-    solution = [zero] * width
-    for row, col in zip(reduced, pivots):
-        if col == width:
-            return None
-        solution[col] = row[width]
-    return solution
-
-
-def invert(matrix_rows, field: Field):
-    """Exact inverse of a square matrix given as rows, or ``None`` if singular."""
-    n = len(matrix_rows)
-    zero, one = field.zero, field.one
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(matrix_rows)
-    ]
-    reduced, pivots = rref(aug, field)
-    if len(reduced) < n or pivots != list(range(n)):
-        return None
-    return [row[n:] for row in reduced]
 
 
 def intersection(u_vectors, v_vectors, field: Field):

@@ -18,18 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from . import linalg
-from ._batch import (
-    DEFAULT_BUDGET,
-    bounded_prk_table,
-    check_enumeration_budget,
-    encode_digits,
-    ints_to_matrix,
-)
+from ._batch import bounded_prk_table, check_enumeration_budget, encode_digits, ints_to_matrix
 from .errors import (
     BudgetExceeded,
     DecompositionError,
@@ -85,12 +79,7 @@ class LinearMap:
     @classmethod
     def transposition(cls, n: int, field: Field) -> "LinearMap":
         """The operator A -> A^T."""
-        size = n * n
-        vals = [field.zero] * (size * size)
-        for i in range(n):
-            for j in range(n):
-                vals[(j * n + i) * size + (i * n + j)] = field.one
-        return cls(n, field, Matrix(size, size, vals, field))
+        return cls.from_unit_images(n, field, lambda i, j: unit(j, i, n, field))
 
     @classmethod
     def from_unit_images(cls, n: int, field: Field, image_of) -> "LinearMap":
@@ -244,11 +233,13 @@ class PreserverVerdict:
     detail: str = ""
 
 
-def _validate(tmap: LinearMap, k: int):
+def _validate(tmap: LinearMap, k: int, samples: int = 0):
     if tmap.n < 3:
         raise UnsupportedSize(f"preserver decisions need n >= 3, got n={tmap.n}")
     if not (1 <= k <= tmap.n - 1):
         raise InvalidRange(f"k={k} outside 1..{tmap.n - 1}")
+    if samples < 0:
+        raise InvalidRange(f"samples must be >= 0, got {samples}")
 
 
 def decompose(tmap: LinearMap, k: int) -> CanonicalPreserver:
@@ -363,7 +354,7 @@ def check_preserves(
     Non-bijective operators short-circuit to ``not_bijective``; they are not
     classified either way.
     """
-    _validate(tmap, k)
+    _validate(tmap, k, samples)
     if not tmap.is_bijective():
         return PreserverVerdict(kind=NOT_BIJECTIVE, detail="the operator matrix is singular")
     if mode == "structural":
@@ -391,11 +382,10 @@ def check_preserves(
         return PreserverVerdict(kind=PRESERVER, canonical=cp)
     if mode == "sample":
         rng = random.Random(f"preserver-sample:{seed}")
-        for _ in range(samples):
-            a = sample_bounded_prk(rng, tmap.n, k, tmap.field)
-            if not prk_decide_leq(tmap.apply(a), k):
-                return _verified_not_preserver(tmap, k, a, "sampled counterexample")
-        return PreserverVerdict(kind=UNKNOWN, detail=f"no counterexample in {samples} samples")
+        counter = _first_escape(tmap, k, _bounded_samples(rng, tmap.n, k, tmap.field, samples))
+        if counter is None:
+            return PreserverVerdict(kind=UNKNOWN, detail=f"no counterexample in {samples} samples")
+        return _verified_not_preserver(tmap, k, counter, "sampled counterexample")
     raise InvalidRange(f"unknown mode {mode!r}")
 
 
@@ -410,8 +400,8 @@ def _exhaustive_counterexample(tmap: LinearMap, k: int, budget: int | None):
     if not isinstance(field, PrimeField):
         raise BudgetExceeded("exhaustive mode needs a finite field")
     n, p = tmap.n, field.p
-    check_enumeration_budget(p ** (n * n), DEFAULT_BUDGET if budget is None else budget)
-    mask, member_digits, _ = bounded_prk_table(n, p, k)
+    check_enumeration_budget(p ** (n * n), budget)
+    mask, member_digits = bounded_prk_table(n, p, k)
     t_int = np.array(tmap.matrix.data, dtype=np.int64).reshape(n * n, n * n)
     chunk = 1 << 15
     for start in range(0, member_digits.shape[0], chunk):
@@ -424,33 +414,37 @@ def _exhaustive_counterexample(tmap: LinearMap, k: int, budget: int | None):
     return None
 
 
+def _first_escape(tmap: LinearMap, k: int, candidates):
+    """The first candidate whose image has permanental rank above k, or None."""
+    for x in candidates:
+        if not prk_decide_leq(tmap.apply(x), k):
+            return x
+    return None
+
+
+def _bounded_samples(rng, n: int, k: int, field: Field, count: int):
+    for _ in range(count):
+        yield sample_bounded_prk(rng, n, k, field)
+
+
 def _search_counterexample(tmap: LinearMap, k: int, *, seed: int, samples: int):
     n, field = tmap.n, tmap.field
-    # (a) matrix units (always inside the bounded set for k >= 1)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e = unit(i, j, n, field)
-            if not prk_decide_leq(tmap.apply(e), k):
-                return e
-    # (b) the signed probe family, in deterministic order
-    for x in probe_family(n, k, field):
-        if prk_decide_leq(x, k) and not prk_decide_leq(tmap.apply(x), k):
-            return x
-    # (c) members of each supported subspace, pushed through invariance ops
     rng = random.Random(f"preserver-search:{seed}")
-    for orientation in (ROW, COL):
-        for support in combinations(range(1, n + 1), k):
-            basis = canonical_basis(CanonicalSubspace(orientation, support), n, field)
-            for _ in range(3):
-                member = random_subspace_member(rng, basis)
-                if not prk_decide_leq(tmap.apply(member), k):
-                    return member
+    # (a) matrix units (always inside the bounded set for k >= 1)
+    units = (unit(i, j, n, field) for i in range(1, n + 1) for j in range(1, n + 1))
+    # (b) the signed probe family, in deterministic order
+    probes = (x for x in probe_family(n, k, field) if prk_decide_leq(x, k))
+    # (c) members of each supported subspace, pushed through invariance ops
+    bases = (
+        canonical_basis(CanonicalSubspace(orientation, support), n, field)
+        for orientation in (ROW, COL)
+        for support in combinations(range(1, n + 1), k)
+    )
+    members = (random_subspace_member(rng, basis) for basis in bases for _ in range(3))
     # (d) rejection-sampled bounded-rank matrices
-    for _ in range(samples):
-        a = sample_bounded_prk(rng, n, k, field)
-        if not prk_decide_leq(tmap.apply(a), k):
-            return a
-    return None
+    return _first_escape(
+        tmap, k, chain(units, probes, members, _bounded_samples(rng, n, k, field, samples))
+    )
 
 
 def check_equality_variant(
@@ -471,31 +465,30 @@ def check_equality_variant(
     and the check proceeds as in :func:`check_preserves`, after recording
     whether each unit preimage stays inside the bounded set.
     """
-    _validate(tmap, k)
+    _validate(tmap, k, samples)
     n, field = tmap.n, tmap.field
-    rows = tmap.matrix.raw_rows()
-    inverse = linalg.invert(rows, field)
-    if inverse is None:
-        size = n * n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                target = [field.zero] * size
-                target[(i - 1) * n + (j - 1)] = field.one
-                if linalg.solve(rows, target, field) is None:
-                    return PreserverVerdict(
-                        kind=NOT_BIJECTIVE,
-                        detail=f"unit ({i},{j}) has no preimage; the map is not surjective",
-                    )
-        return PreserverVerdict(kind=NOT_BIJECTIVE, detail="singular operator")
+    size = n * n
+    # Reduce [T | I]: rows whose left half vanished span the left kernel of T,
+    # and E_c has no preimage exactly when a kernel row is nonzero at c, so
+    # the first unreachable unit is the least pivot in the right half.
+    zero, one = field.zero, field.one
+    aug = [
+        row + [one if r == c else zero for c in range(size)]
+        for r, row in enumerate(tmap.matrix.raw_rows())
+    ]
+    reduced, pivots = linalg.rref(aug, field)
+    c = next((p - size for p in pivots if p >= size), None)
+    if c is not None:
+        return PreserverVerdict(
+            kind=NOT_BIJECTIVE,
+            detail=f"unit ({c // n + 1},{c % n + 1}) has no preimage; the map is not surjective",
+        )
     tmap._bijective = True  # invertible; spares check_preserves a second elimination
     bad_units = []
-    size = n * n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            col = (i - 1) * n + (j - 1)
-            pre = Matrix(n, n, [inverse[r][col] for r in range(size)], field)
-            if not prk_decide_leq(pre, k):
-                bad_units.append((i, j))
+    for c in range(size):
+        pre = Matrix(n, n, [row[size + c] for row in reduced], field)
+        if not prk_decide_leq(pre, k):
+            bad_units.append((c // n + 1, c % n + 1))
     verdict = check_preserves(tmap, k, mode=mode, samples=samples, seed=seed, budget=budget)
     if bad_units:
         note = f"unit preimages of {bad_units} leave the bounded set"

@@ -118,7 +118,7 @@ class SubspaceBasis:
             raise ShapeMismatch("matrix shape does not match the ambient space")
         if m.field != self.field:
             raise FieldMismatch("matrix field does not match the subspace field")
-        return linalg.in_row_space(list(m.data), self.vectorized(), self.field)
+        return linalg.rank(self.reduced_rows() + [list(m.data)], self.field) == self.dim
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check_compatible(other)

@@ -285,6 +285,12 @@ class TestVerify:
         assert main(args) == 0
         assert "failures: 0" in capsys.readouterr().out
 
+    def test_zero_trials_run_zero_cases(self, capsys):
+        assert main(_VERIFY_INVARIANCE + ["--trials", "0", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"]["trials"] == 0
+        assert doc["cases"] == 0
+
 
 class TestUsage:
     def test_unknown_flag_rejected(self):
@@ -303,6 +309,7 @@ class TestUsage:
 
 _ID3_MAP = linear_map_to_json(LinearMap.identity(3, PrimeField(3)))
 _COMPOSE = ["compose", "--field", "Q", "--sigma2", "1,2,3", "--d2", "1,1,1"]
+_VERIFY_INVARIANCE = ["verify", "--suite", "invariance", "--n", "3", "--seed", "1"]
 
 
 def _matrix_doc(**changes):
@@ -337,6 +344,22 @@ def _matrix_doc(**changes):
         pytest.param(_COMPOSE + ["--d1", "1,x,1", "--sigma1", "1,2,3"], None, id="compose-unparsable-scalar"),
         pytest.param(_COMPOSE + ["--d1", "1,1,1", "--sigma1", "1,a,3"], None, id="compose-non-integer-image"),
         pytest.param(["lift", "--constraint", "entry:1"], _matrix_doc(), id="entry-constraint-one-index"),
+        pytest.param(
+            ["check-preserver", "--k", "1", "--samples", "-1"], _ID3_MAP, id="negative-samples"
+        ),
+        pytest.param(_VERIFY_INVARIANCE + ["--p", "0"], None, id="verify-p-zero"),
+        pytest.param(_VERIFY_INVARIANCE + ["--trials", "-1"], None, id="verify-negative-trials"),
+        pytest.param(
+            ["verify", "--suite", "thm12-converse", "--n", "3", "--k", "1", "--p", "0", "--seed", "1"],
+            None,
+            id="converse-p-zero",
+        ),
+        # 2 * (3!)^2 * 4^6 = 294912 canonical tuples: refused before enumerating
+        pytest.param(
+            ["verify", "--suite", "thm12-forward", "--n", "3", "--k", "1", "--p", "5"],
+            None,
+            id="forward-over-budget",
+        ),
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, command, doc):

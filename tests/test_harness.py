@@ -10,11 +10,12 @@ from permrank import (
     prk,
     verify_converse_sampled,
     verify_density_chain,
+    verify_forward_exhaustive,
     verify_invariance,
     verify_theta,
     zero_matrix,
 )
-from permrank.errors import InvalidRange
+from permrank.errors import BudgetExceeded, InvalidRange
 from permrank.matrices import Permutation
 
 
@@ -110,7 +111,6 @@ class TestDeterminism:
     def test_timing_excluded_from_json_by_default(self, F3):
         report = verify_invariance(3, F3, trials=5, seed=0)
         assert "seconds" not in report.to_json_dict()
-        assert "seconds" in report.to_json_dict(include_timing=True)
 
 
 class TestForwardSlice:
@@ -123,3 +123,8 @@ class TestForwardSlice:
 
         for cp in islice(enumerate_canonical_preservers(3, 3), 12):
             assert check_preserves(compose_canonical(cp), 1, mode="exhaustive").kind == "preserver"
+
+    def test_case_count_is_capped_before_enumerating(self):
+        # 2 * (3!)^2 * 4^6 = 294912 canonical tuples over F_5
+        with pytest.raises(BudgetExceeded, match="294912"):
+            verify_forward_exhaustive(3, 1, 5)

@@ -28,6 +28,7 @@ from permrank import (
     unit,
     zero_matrix,
 )
+from permrank import linalg
 from permrank.errors import (
     HadamardNotRankOne,
     InvalidRange,
@@ -42,6 +43,7 @@ from permrank.sampling import (
     random_bijective_map,
     random_canonical_preserver,
     random_matrix,
+    random_scalar,
     sample_bounded_prk,
 )
 
@@ -298,8 +300,14 @@ class TestCheckPreserves:
             return unit(i, j, 3, F3)
 
         bad = LinearMap.from_unit_images(3, F3, image)
-        verdict = check_preserves(bad, 1, mode="sample", samples=200, seed=0)
-        assert verdict.kind == "not_preserver"
+        got = [check_preserves(bad, 1, mode="sample", samples=200, seed=seed) for seed in (0, 1, 2)]
+        assert all(verdict.kind == "not_preserver" for verdict in got)
+        # counterexamples pinned to the seeded sample stream
+        assert [verdict.counterexample for verdict in got] == [
+            mat([[2, 0, 1], [1, 0, 1], [0, 0, 0]], F3),
+            mat([[2, 0, 0], [1, 0, 0], [1, 0, 0]], F3),
+            mat([[1, 0, 1], [0, 0, 0], [0, 0, 0]], F3),
+        ]
 
 
 def _lex_smaller_f3(code):
@@ -332,6 +340,43 @@ class TestEqualityVariant:
     def test_zero_map_fails(self, Q):
         t = LinearMap(3, Q, zero_matrix(9, Q))
         assert check_equality_variant(t, 1).kind == "not_bijective"
+
+    @pytest.mark.parametrize("field_name", ["F3", "F5", "Q"])
+    def test_first_unreachable_unit_matches_rank_oracle(self, field_name, request):
+        # E_c has a preimage exactly when appending its vector as a column
+        # keeps the rank of T; the verdict names the first c where it does not
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(f"unreachable:{field_name}")
+        for trial in range(16):
+            # an image spanned by some units plus random directions, dimension < 9
+            inside = rng.sample(range(9), trial % 8)
+            spare = rng.randrange(1, 9 - len(inside))
+            image = [[1 if r == c else 0 for r in range(9)] for c in inside]
+            image += [[random_scalar(rng, field).value for _ in range(9)] for _ in range(spare)]
+            span = mat([[v[r] for v in image] for r in range(9)], field)
+            t = LinearMap(3, field, span @ random_matrix(rng, len(image), field, cols=9))
+            rows = t.matrix.raw_rows()
+            base = linalg.rank(rows, field)
+            assert base < 9
+            c = next(
+                c
+                for c in range(9)
+                if linalg.rank([row + [int(r == c)] for r, row in enumerate(rows)], field) > base
+            )
+            verdict = check_equality_variant(t, 1)
+            assert verdict.kind == "not_bijective"
+            assert verdict.detail == (
+                f"unit ({c // 3 + 1},{c % 3 + 1}) has no preimage; the map is not surjective"
+            )
+
+    def test_unit_preimages_outside_the_bounded_set_are_noted(self, F3):
+        t = random_bijective_map(random.Random(2), 3, F3)
+        verdict = check_equality_variant(t, 2)
+        assert verdict.kind == "not_preserver"
+        assert verdict.detail == (
+            "UnitImageNotMonomial: image of unit (1,1) has 4 nonzero entries; "
+            "unit preimages of [(1, 1), (1, 3), (2, 2), (3, 3)] leave the bounded set"
+        )
 
 
 class TestInducedSubspaceAction:
