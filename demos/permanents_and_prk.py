@@ -13,7 +13,7 @@ print("per [[1,2],[3,4]]      =", pr.per_fast(a))          # 1*4 + 2*3 = 10
 print("per (all-ones 3x3)     =", pr.per_fast(pr.ones(3, Q)))  # 3! = 6
 
 # Two independent evaluations: the definitional permutation sum and the
-# inclusion-exclusion kernel always agree.
+# integer Glynn-formula kernel always agree.
 b = pr.mat([[1, 1, 2], [0, 3, 1], [2, 1, 1]], F5)
 print("naive vs fast over F5  =", pr.per_naive(b), pr.per_fast(b))
 

@@ -167,15 +167,15 @@ def _parse_constraint(spec: str):
     raise PermrankError(f"unknown constraint spec {spec!r}")
 
 
-def _require_seed(args, parser, what: str) -> int:
+def _require_seed(args, what: str) -> int:
     if args.seed is None:
         if args.json:
-            parser.error(f"--seed is required with --json for {what}")
+            raise PermrankError(f"--seed is required with --json for {what}")
         return 0
     return args.seed
 
 
-def _cmd_per(args, parser) -> int:
+def _cmd_per(args) -> int:
     value = per_fast(_load_matrix(args.matrix))
     if args.json:
         _emit_json({"per": str(value)})
@@ -184,7 +184,7 @@ def _cmd_per(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_prk(args, parser) -> int:
+def _cmd_prk(args) -> int:
     witness = prk(_load_matrix(args.matrix))
     if args.witness:
         _emit_json(
@@ -197,14 +197,17 @@ def _cmd_prk(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_classify_subspace(args, parser) -> int:
+def _cmd_classify_subspace(args) -> int:
     docs = _load_json(args.basis)
     if not isinstance(docs, list):
         raise PermrankError("basis file must hold a JSON list of matrices")
     mats = [matrix_from_json(d) for d in docs]
     if not mats:
         raise PermrankError("basis file holds no matrices")
-    v = SubspaceBasis.span(mats[0].rows, mats[0].field, mats)
+    n = mats[0].rows
+    if not 1 <= args.k <= n - 1:
+        raise InvalidRange(f"--k={args.k} outside 1..{n - 1}")
+    v = SubspaceBasis.span(n, mats[0].field, mats)
     result = classify_maximal(v, args.k)
     if result is None:
         if args.json:
@@ -221,7 +224,7 @@ def _cmd_classify_subspace(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_theta(args, parser) -> int:
+def _cmd_theta(args) -> int:
     graph = build_theta(args.n, args.k)
     obj = build_theta_hat(graph) if args.hat else graph
     if args.format == "dot":
@@ -238,7 +241,7 @@ def _cmd_theta(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_compose(args, parser) -> int:
+def _cmd_compose(args) -> int:
     field = field_from_name(args.field)
     cp = CanonicalPreserver(
         d1=tuple(field(v) for v in args.d1.split(",")),
@@ -251,7 +254,7 @@ def _cmd_compose(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(args, parser) -> int:
+def _cmd_decompose(args) -> int:
     tmap = _load_map(args.map)
     try:
         cp = decompose(tmap, args.k)
@@ -265,13 +268,9 @@ def _cmd_decompose(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_check_preserver(args, parser) -> int:
+def _cmd_check_preserver(args) -> int:
     tmap = _load_map(args.map)
-    seed = args.seed
-    if seed is None:
-        if args.json and args.mode == "sample":
-            parser.error("--seed is required with --json in sample mode")
-        seed = 0
+    seed = _require_seed(args, "sample mode") if args.mode == "sample" else (args.seed or 0)
     check = check_equality_variant if args.equality else check_preserves
     verdict = check(tmap, args.k, mode=args.mode, samples=args.samples, seed=seed)
     doc = verdict_to_json(verdict)
@@ -292,44 +291,38 @@ def _cmd_check_preserver(args, parser) -> int:
     return EXIT_UNKNOWN
 
 
-def _cmd_lift(args, parser) -> int:
+def _cmd_lift(args) -> int:
     a = _load_matrix(args.matrix)
     constraint = _parse_constraint(args.constraint)
     position = None
     if (args.i is None) != (args.j is None):
-        parser.error("--i and --j must be given together")
+        raise InvalidRange("--i and --j must be given together")
     if args.i is not None:
         position = (args.i, args.j)
     _emit_json(matrix_to_json(lift_rank(a, constraint, position)))
     return EXIT_OK
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     suite = args.suite
     p = 3 if args.p is None else args.p
     # the suite signatures hold the default trial counts
     trials = {} if args.trials is None else {"trials": args.trials}
+    if suite != "invariance" and args.k is None:
+        raise PermrankError(f"--k is required for the {suite} suite")
     if suite == "invariance":
         field = QQ if args.p is None else PrimeField(args.p)
-        seed = _require_seed(args, parser, "randomized suites")
+        seed = _require_seed(args, "randomized suites")
         report = verify_invariance(args.n, field, seed=seed, **trials)
     elif suite == "thm12-forward":
-        if args.k is None:
-            parser.error("--k is required for this suite")
         report = verify_forward_exhaustive(args.n, args.k, p)
     elif suite == "thm12-converse":
-        if args.k is None:
-            parser.error("--k is required for this suite")
-        seed = _require_seed(args, parser, "randomized suites")
+        seed = _require_seed(args, "randomized suites")
         report = verify_converse_sampled(args.n, args.k, p, seed=seed, **trials)
     elif suite == "theta":
-        if args.k is None:
-            parser.error("--k is required for this suite")
         report = verify_theta(args.n, args.k)
     else:  # density
-        if args.k is None:
-            parser.error("--k is required for this suite")
-        seed = _require_seed(args, parser, "randomized suites")
+        seed = _require_seed(args, "randomized suites")
         report = verify_density_chain(args.n, args.k, seed=seed, **trials)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -361,7 +354,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, parser)
+        return _HANDLERS[args.command](args)
     except PermrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

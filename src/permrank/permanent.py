@@ -1,8 +1,11 @@
 """Permanents and permanental rank with certifying witnesses.
 
 ``per_naive`` is the definitional sum over permutations and doubles as the
-independent oracle; ``per_fast`` is an inclusion-exclusion evaluation
-(O(2^n * n), Gray-code order) that agrees with it on every square matrix.
+independent oracle.  Every other permanent goes through one integer kernel,
+``_per_int``: Glynn's formula in Gray-code order (2^(n-1) steps of O(n)
+each) on Python ints, exact over Q and reduced mod p over F_p.  Matrices are
+lifted to ints once per call (``_lift``); ``per_fast``, ``prk`` and
+``prk_decide_leq`` run on the lifted rows and divide a reported value back.
 ``prk`` searches square submatrices for the largest one with nonzero
 permanent and reports the witnessing index sets.
 """
@@ -10,10 +13,13 @@ permanent and reports the witnessing index sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm, prod
+from operator import add, sub
 
 from .errors import InvalidRange, NotSquare, TooLarge
-from .fields import Field, Scalar
+from .fields import Scalar
 from .matrices import Matrix
 
 #: Hard guard for the factorial-time oracle.
@@ -51,46 +57,79 @@ def per_naive(a: Matrix, *, max_n: int = PER_NAIVE_MAX) -> Scalar:
     return Scalar(total, field)
 
 
-def _per_fast_raw(rows, field: Field):
-    """Inclusion-exclusion permanent on raw row lists."""
+def _per_int(rows, p: int) -> int:
+    """Permanent of a square matrix of ints, exactly (``p == 0``) or mod ``p``.
+
+    Orders 0 to 3 are closed forms.  Above that, Glynn's formula (Eur. J.
+    Combin. 31, 2010): 2^(n-1) per(A) is the sum, over signs d with d_1 = +1,
+    of (d_1 ... d_n) times the product of the column sums of d_i * (row i).
+    The signs are visited in Gray-code order, so each of the 2^(n-1) - 1 steps
+    flips one sign and moves every column sum by 2 * (row i).  The sum is an
+    identity over the integers, so the total is divided by 2^(n-1) exactly
+    over Q, or multiplied by its inverse mod an odd prime ``p``.
+    """
     n = len(rows)
     if n == 0:
-        return field.one
-    add, sub, mul = field.add, field.sub, field.mul
-    zero = field.zero
-    total = zero
-    sums = [zero] * n
-    gray = 0
-    for s in range(1, 1 << n):
-        low = s & -s
-        col = low.bit_length() - 1
-        gray ^= low
-        if gray & low:
-            for r in range(n):
-                sums[r] = add(sums[r], rows[r][col])
-        else:
-            for r in range(n):
-                sums[r] = sub(sums[r], rows[r][col])
-        prod = sums[0]
-        if prod != zero:
-            for r in range(1, n):
-                prod = mul(prod, sums[r])
-                if prod == zero:
-                    break
-        if prod != zero:
-            if (n - gray.bit_count()) % 2:
-                total = sub(total, prod)
+        return 1
+    if n == 1:
+        value = rows[0][0]
+    elif n == 2:
+        (a, b), (c, d) = rows
+        value = a * d + b * c
+    elif n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        value = a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
+    else:
+        sums = [sum(col) for col in zip(*rows)]
+        twice = [[2 * v for v in row] for row in rows]
+        value = prod(sums)
+        gray = 0
+        for k in range(1, 1 << (n - 1)):
+            low = k & -k
+            gray ^= low
+            step = twice[low.bit_length()]
+            sums = list(map(sub if gray & low else add, sums, step))
+            # one sign flips per step, so the sign of the term alternates
+            if k & 1:
+                value -= prod(sums)
             else:
-                total = add(total, prod)
-    return total
+                value += prod(sums)
+        if not p:
+            return value >> (n - 1)
+        value *= pow(2, 1 - n, p)
+    return value % p if p else value
+
+
+def _lift(a: Matrix):
+    """Rows of ``a`` as ints, and the factor to divide a permanent back by.
+
+    Over F_p the residues already are ints and every factor is 1.  Over Q,
+    row i is scaled by d_i, the lcm of its denominators, so the minor on a
+    row set R is ``_per_int`` of the scaled rows divided by the product of
+    d_i over R: zero tests are unchanged and only a reported value is divided.
+    """
+    rows = a.raw_rows()
+    if a.field.characteristic:
+        return rows, [1] * len(rows)
+    scales = [lcm(*(v.denominator for v in row)) for row in rows]
+    lifted = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, scales)]
+    return lifted, scales
+
+
+def _value(a: Matrix, per: int, scales, row_idx) -> Scalar:
+    """The permanent of ``a``'s minor on ``row_idx`` from its lifted ``per``."""
+    if a.field.characteristic:
+        return Scalar(per, a.field)
+    return Scalar(Fraction(per, prod(scales[i] for i in row_idx)), a.field)
 
 
 def per_fast(a: Matrix, *, max_n: int = PER_FAST_MAX) -> Scalar:
-    """Permanent via inclusion-exclusion; same value as :func:`per_naive`."""
+    """Permanent by Glynn's formula on ints; same value as :func:`per_naive`."""
     n = _require_square(a)
     if n > max_n:
         raise TooLarge(f"n={n} exceeds the 2^n guard {max_n}")
-    return Scalar(_per_fast_raw(a.raw_rows(), a.field), a.field)
+    rows, scales = _lift(a)
+    return _value(a, _per_int(rows, a.field.characteristic), scales, range(n))
 
 
 @dataclass(frozen=True)
@@ -108,19 +147,19 @@ class PrkWitness:
     per_value: Scalar
 
 
-def _first_nonzero_minor(rows, field: Field, m: int):
+def _first_nonzero_minor(rows, p: int, m: int):
     """First ``m``-square submatrix with nonzero permanent, or ``None``.
 
-    Row index sets are taken in lexicographic order and, within each, column
-    index sets too; returns ``(row_idx, col_idx, value)`` with 0-based indices.
+    ``rows`` are lifted ints (see :func:`_lift`).  Row index sets are taken in
+    lexicographic order and, within each, column index sets too; returns
+    ``(row_idx, col_idx, per)`` with 0-based indices and the lifted permanent.
     """
     n = len(rows)
-    zero = field.zero
     for row_idx in combinations(range(n), m):
         picked = [rows[i] for i in row_idx]
         for col_idx in combinations(range(n), m):
-            value = _per_fast_raw([[r[j] for j in col_idx] for r in picked], field)
-            if value != zero:
+            value = _per_int([[r[j] for j in col_idx] for r in picked], p)
+            if value:
                 return row_idx, col_idx, value
     return None
 
@@ -136,19 +175,18 @@ def prk(a: Matrix) -> PrkWitness:
     n = _require_square(a)
     if n > PER_FAST_MAX:
         raise TooLarge(f"n={n} exceeds the 2^n guard {PER_FAST_MAX}")
-    field = a.field
-    rows = a.raw_rows()
+    rows, scales = _lift(a)
     for k in range(n, 0, -1):
-        found = _first_nonzero_minor(rows, field, k)
+        found = _first_nonzero_minor(rows, a.field.characteristic, k)
         if found is not None:
-            row_idx, col_idx, value = found
+            row_idx, col_idx, per = found
             return PrkWitness(
                 rank=k,
                 row_set=tuple(i + 1 for i in row_idx),
                 col_set=tuple(j + 1 for j in col_idx),
-                per_value=Scalar(value, field),
+                per_value=_value(a, per, scales, row_idx),
             )
-    return PrkWitness(rank=0, row_set=(), col_set=(), per_value=Scalar(field.one, field))
+    return PrkWitness(rank=0, row_set=(), col_set=(), per_value=Scalar(a.field.one, a.field))
 
 
 def prk_decide_leq(a: Matrix, k: int) -> bool:
@@ -165,4 +203,5 @@ def prk_decide_leq(a: Matrix, k: int) -> bool:
         return True
     if k + 1 > PER_FAST_MAX:
         raise TooLarge(f"k+1={k + 1} exceeds the 2^n guard {PER_FAST_MAX}")
-    return _first_nonzero_minor(a.raw_rows(), a.field, k + 1) is None
+    rows, _ = _lift(a)
+    return _first_nonzero_minor(rows, a.field.characteristic, k + 1) is None

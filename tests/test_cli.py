@@ -104,19 +104,9 @@ class TestCheckPreserver:
         assert doc["counterexample"]["entries"][0][0] == "1"
 
     def test_sample_mode_requires_seed_in_json(self, transpose3_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "check-preserver",
-                    transpose3_path,
-                    "--k",
-                    "1",
-                    "--mode",
-                    "sample",
-                    "--json",
-                ]
-            )
-        assert exc.value.code == 2
+        args = ["check-preserver", transpose3_path, "--k", "1", "--mode", "sample", "--json"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: --seed is required")
 
     def test_equality_variant_flag(self, transpose3_path, capsys):
         code = main(
@@ -243,9 +233,8 @@ class TestVerify:
         assert doc["ok"] is True
 
     def test_randomized_suite_requires_seed_in_json(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "invariance", "--n", "3", "--json"])
-        assert exc.value.code == 2
+        assert main(["verify", "--suite", "invariance", "--n", "3", "--json"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed is required")
 
     def test_invariance_json_deterministic(self, capsys):
         args = [
@@ -310,6 +299,7 @@ class TestUsage:
 _ID3_MAP = linear_map_to_json(LinearMap.identity(3, PrimeField(3)))
 _COMPOSE = ["compose", "--field", "Q", "--sigma2", "1,2,3", "--d2", "1,1,1"]
 _VERIFY_INVARIANCE = ["verify", "--suite", "invariance", "--n", "3", "--seed", "1"]
+_ID3_DOC = matrix_to_json(identity(3, permrank.QQ))
 
 
 def _matrix_doc(**changes):
@@ -340,13 +330,23 @@ def _matrix_doc(**changes):
             id="basis-not-square",
         ),
         pytest.param(["classify-subspace", "--k", "1"], 5, id="basis-not-a-list"),
+        pytest.param(["classify-subspace", "--k", "0"], [_ID3_DOC], id="classify-k-zero"),
+        pytest.param(["classify-subspace", "--k", "7"], [_ID3_DOC], id="classify-k-above-n"),
         pytest.param(_COMPOSE + ["--d1", "1,1/0,1", "--sigma1", "1,2,3"], None, id="compose-zero-denominator"),
         pytest.param(_COMPOSE + ["--d1", "1,x,1", "--sigma1", "1,2,3"], None, id="compose-unparsable-scalar"),
         pytest.param(_COMPOSE + ["--d1", "1,1,1", "--sigma1", "1,a,3"], None, id="compose-non-integer-image"),
         pytest.param(["lift", "--constraint", "entry:1"], _matrix_doc(), id="entry-constraint-one-index"),
+        pytest.param(["lift", "--i", "1"], _matrix_doc(), id="lift-i-without-j"),
         pytest.param(
             ["check-preserver", "--k", "1", "--samples", "-1"], _ID3_MAP, id="negative-samples"
         ),
+        pytest.param(
+            ["check-preserver", "--k", "1", "--mode", "sample", "--json"], _ID3_MAP, id="sample-json-without-seed"
+        ),
+        pytest.param(
+            ["verify", "--suite", "invariance", "--n", "3", "--json"], None, id="verify-json-without-seed"
+        ),
+        pytest.param(["verify", "--suite", "theta", "--n", "4"], None, id="verify-without-k"),
         pytest.param(_VERIFY_INVARIANCE + ["--p", "0"], None, id="verify-p-zero"),
         pytest.param(_VERIFY_INVARIANCE + ["--trials", "-1"], None, id="verify-negative-trials"),
         pytest.param(
@@ -377,4 +377,5 @@ def test_bad_input_exits_two_without_traceback(tmp_path, command, doc):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
