@@ -204,10 +204,7 @@ def _cmd_classify_subspace(args) -> int:
     mats = [matrix_from_json(d) for d in docs]
     if not mats:
         raise PermrankError("basis file holds no matrices")
-    n = mats[0].rows
-    if not 1 <= args.k <= n - 1:
-        raise InvalidRange(f"--k={args.k} outside 1..{n - 1}")
-    v = SubspaceBasis.span(n, mats[0].field, mats)
+    v = SubspaceBasis.span(mats[0].rows, mats[0].field, mats)
     result = classify_maximal(v, args.k)
     if result is None:
         if args.json:

@@ -6,15 +6,23 @@ independent oracle.  Every other permanent goes through one integer kernel,
 each) on Python ints, exact over Q and reduced mod p over F_p.  Matrices are
 lifted to ints once per call (``_lift``); ``per_fast``, ``prk`` and
 ``prk_decide_leq`` run on the lifted rows and divide a reported value back.
-``prk`` searches square submatrices for the largest one with nonzero
-permanent and reports the witnessing index sets.
+
+``prk`` and ``prk_decide_leq`` ask, for a size m, for the first m-square
+submatrix with nonzero permanent (``_first_nonzero_minor``).  It probes the
+leading m x m minor with the kernel, which at m = n is the one full-size
+evaluation, and otherwise walks row sets depth first in lexicographic order.
+The walk keeps the nonzero minors of each row set by column set, extends
+them one row at a time by Laplace expansion, and prunes a row set with no
+nonzero minor, so a matrix whose minors are mostly zero costs little.  The
+witness is the same either way: the lexicographically first row set with a
+nonzero m-minor, and the first column set within it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import lcm, prod
 from operator import add, sub
 
@@ -150,27 +158,68 @@ class PrkWitness:
 def _first_nonzero_minor(rows, p: int, m: int):
     """First ``m``-square submatrix with nonzero permanent, or ``None``.
 
-    ``rows`` are lifted ints (see :func:`_lift`).  Row index sets are taken in
-    lexicographic order and, within each, column index sets too; returns
-    ``(row_idx, col_idx, per)`` with 0-based indices and the lifted permanent.
+    ``rows`` are lifted ints (see :func:`_lift`).  The witness is the first in
+    lexicographic order of row index sets and, within that row set, of column
+    index sets; returns ``(row_idx, col_idx, per)`` with 0-based indices and
+    the lifted permanent.  The leading minor is probed, then row sets are
+    walked as the module docstring describes.  A row set R whose |R|-square
+    minors all vanish is pruned: by Laplace expansion along R, so does every
+    minor on a row set containing R.
     """
-    n = len(rows)
-    for row_idx in combinations(range(n), m):
-        picked = [rows[i] for i in row_idx]
-        for col_idx in combinations(range(n), m):
-            value = _per_int([[r[j] for j in col_idx] for r in picked], p)
-            if value:
-                return row_idx, col_idx, value
-    return None
+    nonzero = [i for i, row in enumerate(rows) if any(row)]
+    if len(nonzero) < m:
+        return None
+    value = _per_int([row[:m] for row in rows[:m]], p)
+    if value:
+        return tuple(range(m)), tuple(range(m)), value
+    if m == len(rows):
+        return None  # the probe was the only m-square submatrix
+    # each nonzero row with its nonzero entries as (column bit, value) pairs
+    live = [(i, [(1 << j, v) for j, v in enumerate(rows[i]) if v]) for i in nonzero]
+
+    def walk(picked, minors, start):
+        if len(picked) == m:
+            cols = min(minors, key=_bits)
+            return tuple(picked), _bits(cols), minors[cols]
+        # stop early enough that m - len(picked) live rows remain
+        for t in range(start, len(live) - m + len(picked) + 1):
+            i, entries = live[t]
+            child = {}
+            for cols, per in minors.items():
+                for bit, v in entries:
+                    if not cols & bit:
+                        key = cols | bit
+                        child[key] = child.get(key, 0) + per * v
+            if p:
+                child = {cols: per % p for cols, per in child.items()}
+            child = {cols: per for cols, per in child.items() if per}
+            if child:
+                found = walk(picked + [i], child, t + 1)
+                if found:
+                    return found
+        return None
+
+    return walk([], {0: 1}, 0)
+
+
+def _bits(mask: int) -> tuple:
+    """The 0-based positions of the set bits of ``mask``, in increasing order.
+
+    Column sets are compared by this tuple, not by mask value: {0, 3} has the
+    larger mask but comes first.
+    """
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def prk(a: Matrix) -> PrkWitness:
     """Permanental rank with a deterministic witness.
 
-    Searches sizes in descending order and index-set pairs in lexicographic
-    order, returning the first submatrix found with nonzero permanent, so the
-    reported witness is reproducible.  Raises :class:`TooLarge` when ``n``
-    exceeds the 2^n guard of :func:`per_fast`.
+    Searches sizes in descending order.  At each size it probes the leading
+    minor, then walks row sets depth first in lexicographic order, pruning
+    row sets whose minors all vanish.  The witness is the lexicographically
+    first row set with a nonzero minor of the largest size, and the first
+    column set within it, so it is reproducible.  Raises :class:`TooLarge`
+    when ``n`` exceeds the 2^n guard of :func:`per_fast`.
     """
     n = _require_square(a)
     if n > PER_FAST_MAX:
@@ -192,9 +241,10 @@ def prk(a: Matrix) -> PrkWitness:
 def prk_decide_leq(a: Matrix, k: int) -> bool:
     """True exactly when every ``(k+1)``-square submatrix has zero permanent.
 
-    Short-circuits on the first nonzero permanent; this is the hot-loop
-    membership test for the bounded-rank sets.  Raises :class:`TooLarge`
-    when ``k+1`` exceeds the 2^n guard.
+    Runs the search of :func:`prk` at size ``k+1`` only: the leading minor
+    first, then the pruned walk over row sets, stopping at the first nonzero
+    permanent.  This is the hot-loop membership test for the bounded-rank
+    sets.  Raises :class:`TooLarge` when ``k+1`` exceeds the 2^n guard.
     """
     n = _require_square(a)
     if not (0 <= k <= n):

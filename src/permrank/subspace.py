@@ -225,10 +225,13 @@ def classify_maximal(v: SubspaceBasis, k: int) -> CanonicalSubspace | None:
     Returns the matching row/column-supported description when ``v`` equals
     one as a set (dimension ``k*n`` and echelon forms agree), else ``None``.
     The candidate support can be read off the basis, so only two echelon
-    comparisons are ever needed.
+    comparisons are ever needed.  Raises :class:`InvalidRange` unless
+    ``1 <= k <= n-1``.
     """
     n = v.n
-    if k < 1 or v.dim != k * n:
+    if not 1 <= k <= n - 1:
+        raise InvalidRange(f"k={k} outside 1..{n - 1}")
+    if v.dim != k * n:
         return None
     zero = v.field.zero
     row_support, col_support = set(), set()

@@ -21,7 +21,15 @@ from permrank import (
 from permrank.errors import InvalidRange, NotSquare, TooLarge
 from permrank.sampling import random_matrix
 
-from oracle import per_by_definition, prk_oracle, witness_is_valid
+from oracle import (
+    cancelling_matrices,
+    first_witness_oracle,
+    per_by_definition,
+    prk_oracle,
+    witness_is_valid,
+)
+
+FIELDS = {"Q": QQ, "F3": PrimeField(3), "F5": PrimeField(5)}
 
 
 class TestPerNaive:
@@ -127,6 +135,30 @@ class TestPrk:
             assert w.rank == prk_oracle(m)
             assert witness_is_valid(m, w)
 
+    @pytest.mark.parametrize("field_name", ["F3", "Q"])
+    def test_column_sets_in_lex_not_mask_order(self, field_name, F3, Q):
+        # minors on columns {1,4} and {2,3} are nonzero, those before vanish;
+        # (1, 4) comes first although its bit mask is the larger
+        field = F3 if field_name == "F3" else Q
+        m = mat([[1, 1, 1, 1], [1, -1, -1, 0], [0] * 4, [0] * 4], field)
+        w = prk(m)
+        assert (w.rank, w.row_set, w.col_set, w.per_value) == (2, (1, 2), (1, 4), field(1))
+        assert first_witness_oracle(m, 2) == ((1, 2), (1, 4), field(1))
+
+    def test_zero_16x16_has_rank_zero(self, Q):
+        assert prk(zero_matrix(16, Q)).rank == 0
+
+    def test_block_in_zero_12x12_is_the_witness(self, Q):
+        rows, cols = (2, 5, 7, 11), (1, 4, 9, 12)
+        block = [[1, -2, 3, 1], [0, 1, 1, -1], [2, 0, 1, 1], [1, 1, 0, 3]]
+        entries = [[0] * 12 for _ in range(12)]
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                entries[r - 1][c - 1] = block[i][j]
+        w = prk(mat(entries, Q))
+        assert (w.rank, w.row_set, w.col_set) == (4, rows, cols)
+        assert w.per_value == per_naive(mat(block, Q)) != 0
+
     def test_monotonicity_under_submatrices(self, F3):
         rng = random.Random(5)
         for _ in range(25):
@@ -163,6 +195,9 @@ class TestPrkDecide:
         with pytest.raises(InvalidRange):
             prk_decide_leq(identity(3, Q), 4)
 
+    def test_zero_12x12_is_in_the_bounded_set(self, Q):
+        assert prk_decide_leq(zero_matrix(12, Q), 5)
+
     @pytest.mark.parametrize("field_name", ["F3", "Q"])
     def test_agreement_with_prk(self, field_name, F3, Q):
         field = F3 if field_name == "F3" else Q
@@ -173,3 +208,18 @@ class TestPrkDecide:
             r = prk(m).rank
             for k in range(n + 1):
                 assert prk_decide_leq(m, k) == (r <= k)
+
+
+@pytest.mark.parametrize("tag", sorted(FIELDS))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_search_matches_first_witness_oracle(tag, n):
+    # the lexicographically first witness at every size, by enumeration
+    for a in cancelling_matrices(FIELDS[tag], n, f"walk:{tag}:{n}"):
+        firsts = [None] + [first_witness_oracle(a, size) for size in range(1, n + 1)]
+        rank = max((size for size in range(n + 1) if firsts[size]), default=0)
+        w = prk(a)
+        assert w.rank == rank
+        if rank:
+            assert (w.row_set, w.col_set, w.per_value) == firsts[rank]
+        for k in range(n):
+            assert prk_decide_leq(a, k) == (firsts[k + 1] is None)

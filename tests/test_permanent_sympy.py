@@ -14,6 +14,8 @@ import sympy
 
 from permrank import QQ, Matrix, PrimeField, mat, per_fast, prk
 
+from oracle import cancelling_matrices
+
 FIELDS = {"Q": QQ, "F3": PrimeField(3), "F5": PrimeField(5), "Fw": PrimeField(2**31 - 1)}
 
 
@@ -76,6 +78,9 @@ def test_empty_matrix_has_permanent_one(tag):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_prk_witness_permanent_matches_sympy(tag, n):
     cases = dense_matrices(tag, n) + [low_rank_matrix(tag, n, k) for k in range(1, n)]
+    if tag != "Fw":
+        # sparse and cancelling inputs, as in the first-witness oracle test
+        cases += cancelling_matrices(FIELDS[tag], n, f"walk:{tag}:{n}")
     for a in cases:
         w = prk(a)
         if w.rank == 0:

@@ -204,6 +204,13 @@ class TestClassify:
         v = canonical_basis(CanonicalSubspace(ROW, (1,)), 3, F3)
         assert classify_maximal(v, 2) is None
 
+    @pytest.mark.parametrize("k", [-1, 0, 3, 7])
+    def test_k_outside_one_to_n_minus_one_is_refused(self, F3, k):
+        # a bad k must not read as "not canonical"
+        v = canonical_basis(CanonicalSubspace(ROW, (1,)), 3, F3)
+        with pytest.raises(InvalidRange):
+            classify_maximal(v, k)
+
     def test_random_noncanonical_spans_violate_the_bound(self, F3):
         # maximal dimension without canonical shape forces a violation
         rng = random.Random(23)
