@@ -10,12 +10,19 @@ Matrices are flattened row-major.  Codes are base-p integers with the first
 entry as the most significant digit, so ascending code order is lexicographic
 order on entry tuples; "first counterexample" therefore means the
 lexicographically least one.
+
+One kernel serves every enumeration: :func:`_laplace_step` grows the
+permanents of all minors on a row set by one row, mod p, on arrays that
+broadcast.  :func:`batch_prk_leq` runs it on a batch of matrices;
+:func:`bounded_prk_table` runs it once on the p**n row codes laid out on
+separate axes, because prk <= k is a condition on the rows taken k+1 at a
+time.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -31,7 +38,7 @@ _CHUNK = 1 << 16
 
 def code_digits(codes: np.ndarray, width: int, p: int) -> np.ndarray:
     """Base-p digits (big-endian) of each code; shape ``(len(codes), width)``."""
-    out = np.empty((len(codes), width), dtype=np.int16)
+    out = np.empty((len(codes), width), dtype=np.int16 if p <= 1 << 15 else np.int64)
     rest = codes.astype(np.int64, copy=True)
     for pos in range(width - 1, -1, -1):
         out[:, pos] = rest % p
@@ -56,31 +63,91 @@ def iter_digit_chunks(width: int, p: int, chunk: int = _CHUNK):
         start = stop
 
 
-def batch_per(mats: np.ndarray, n: int, p: int, row_idx, col_idx) -> np.ndarray:
-    """Permanent (mod p) of one submatrix across a batch of flattened matrices."""
-    m = len(row_idx)
-    count = mats.shape[0]
-    if m == 0:
-        return np.ones(count, dtype=np.int64)
-    per = np.zeros(count, dtype=np.int64)
-    for sigma in permutations(range(m)):
-        prod = np.ones(count, dtype=np.int64)
-        for r in range(m):
-            prod = prod * mats[:, row_idx[r] * n + col_idx[sigma[r]]] % p
-        per = (per + prod) % p
-    return per
+def _minor_dtype(n: int, p: int):
+    """The narrowest type in which a sum of n products of residues fits.
+
+    int16 or int64; past int64, Python ints in an object array.
+    """
+    bound = n * (p - 1) ** 2
+    if bound < 1 << 15:
+        return np.int16
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _laplace_step(minors: dict, row, p: int) -> dict:
+    """Grow the minors of a row set by one row, by Laplace expansion along it.
+
+    ``minors`` maps each t-subset of columns (a sorted tuple) to the permanent,
+    mod p, of the row set's minor on those columns; ``{(): 1}`` is the empty
+    row set.  ``row[j]`` is the new row's entry in column j; every value is an
+    array and they broadcast together.  Returns the same map for the
+    (t+1)-subsets: per(S) is the sum over j in S of per(S - j) * row[j].
+    """
+    n = len(row)
+    size = len(next(iter(minors))) + 1
+    out = {}
+    for cols in combinations(range(n), size):
+        acc = minors[cols[1:]] * row[cols[0]]
+        for i in range(1, size):
+            acc += minors[cols[:i] + cols[i + 1 :]] * row[cols[i]]
+        out[cols] = np.remainder(acc, p, out=acc)
+    return out
+
+
+def _all_vanish(minors: dict) -> np.ndarray:
+    return np.logical_and.reduce([v == 0 for v in minors.values()])
 
 
 def batch_prk_leq(mats: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
-    """Boolean mask: which flattened matrices have permanental rank <= k."""
-    if k >= n:
-        return np.ones(mats.shape[0], dtype=bool)
-    ok = np.ones(mats.shape[0], dtype=bool)
+    """Boolean mask: which flattened matrices have permanental rank <= k.
+
+    Walks the (k+1)-row sets depth first in lexicographic order, so row sets
+    that share a prefix share its minors.
+    """
+    count = mats.shape[0]
+    ok = np.ones(count, dtype=bool)
     m = k + 1
-    for row_idx in combinations(range(n), m):
-        for col_idx in combinations(range(n), m):
-            ok &= batch_per(mats, n, p, row_idx, col_idx) == 0
+    if m > n:
+        return ok
+    # rows[r][j] is entry (r, j) of every matrix in the batch
+    rows = mats.reshape(count, n, n).transpose(1, 2, 0).astype(_minor_dtype(n, p))
+
+    def walk(minors, start, depth):
+        if depth == m:
+            np.logical_and(ok, _all_vanish(minors), out=ok)
+            return
+        for r in range(start, n - m + depth + 1):
+            walk(_laplace_step(minors, rows[r], p), r + 1, depth + 1)
+
+    walk({(): 1}, 0, 0)
     return ok
+
+
+def _bounded_mask(n: int, p: int, m: int) -> np.ndarray:
+    """Whether each n x n matrix over F_p has only vanishing m-minors.
+
+    The mask is viewed on n axes, one per row code (P = p**n of them); codes
+    are row-major, so it reshapes to the flat code order.  Whether the
+    m-minors on a row set R all vanish depends only on the rows in R.  So the
+    kernel runs once, on the row codes broadcast on m axes, and the mask is
+    the AND of that table placed on the axes of each row set R.  Kept apart
+    from :func:`bounded_prk_table` so that the kernel's arrays are freed
+    before the member list is built, which keeps them out of the peak.
+    """
+    P = p**n
+    mask = np.ones((P,) * n, dtype=bool)
+    if m > n:
+        return mask
+    columns = code_digits(np.arange(P), n, p).T.astype(_minor_dtype(n, p))
+    minors = {(): 1}
+    for t in range(m):
+        # the t-th row of the row set varies along axis t
+        row = columns.reshape((n,) + (1,) * t + (P,) + (1,) * (m - 1 - t))
+        minors = _laplace_step(minors, row, p)
+    ok = _all_vanish(minors)
+    for row_set in combinations(range(n), m):
+        mask &= ok.reshape([P if r in row_set else 1 for r in range(n)])
+    return mask
 
 
 @lru_cache(maxsize=8)
@@ -92,12 +159,8 @@ def bounded_prk_table(n: int, p: int, k: int):
     enumerates exactly the matrices satisfying it, in ascending code order.
     Cached so repeated exhaustive checks share the work.
     """
-    width = n * n
-    total = p**width
-    mask = np.empty(total, dtype=bool)
-    for start, digits in iter_digit_chunks(width, p):
-        mask[start : start + digits.shape[0]] = batch_prk_leq(digits, n, k, p)
-    return mask, code_digits(np.flatnonzero(mask), width, p)
+    mask = _bounded_mask(n, p, k + 1).reshape(-1)
+    return mask, code_digits(np.flatnonzero(mask), n * n, p)
 
 
 def check_enumeration_budget(count: int, budget: int | None):

@@ -403,7 +403,9 @@ def _exhaustive_counterexample(tmap: LinearMap, k: int, budget: int | None):
     check_enumeration_budget(p ** (n * n), budget)
     mask, member_digits = bounded_prk_table(n, p, k)
     t_int = np.array(tmap.matrix.data, dtype=np.int64).reshape(n * n, n * n)
-    chunk = 1 << 15
+    # blocks this small keep each int64 temporary to a few hundred KB, which
+    # the allocator reuses from block to block instead of mapping fresh pages
+    chunk = 1 << 12
     for start in range(0, member_digits.shape[0], chunk):
         block = member_digits[start : start + chunk].astype(np.int64)
         images = block @ t_int.T % p

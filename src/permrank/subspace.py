@@ -3,9 +3,13 @@
 Subspaces are represented by explicit bases of matrices; equality,
 intersection, and membership go through reduced row-echelon form of the
 row-major vectorized bases, which is canonical.  The module also classifies
-subspaces of maximal dimension inside a bounded-permanental-rank set: those
-are exactly the row-supported and column-supported spaces, and
-:func:`classify_maximal` recognizes them.
+subspaces of maximal dimension inside a bounded-permanental-rank set: for
+n >= 3 those are exactly the row-supported and column-supported spaces, and
+:func:`classify_maximal` recognizes them.  "Maximal" means "of maximal
+dimension" throughout, not maximal under inclusion.  At n = 2 the
+characterization fails: {prk <= 1} over F_p holds 2(p+1) planes, since a 2x2
+permanent is the determinant of [[a, -b], [c, d]], a split quadratic form;
+only 4 of them are row- or column-supported.
 """
 
 from __future__ import annotations
@@ -220,10 +224,13 @@ def within_prk_bound(
 
 
 def classify_maximal(v: SubspaceBasis, k: int) -> CanonicalSubspace | None:
-    """Recognize a maximal bounded-rank subspace.
+    """Recognize a bounded-rank subspace of maximal dimension.
 
     Returns the matching row/column-supported description when ``v`` equals
     one as a set (dimension ``k*n`` and echelon forms agree), else ``None``.
+    That these are all the subspaces of dimension ``k*n`` inside
+    {prk <= k} needs n >= 3: at n = 2 other planes lie inside {prk <= 1}
+    (see the module docstring), and they get ``None`` here.
     The candidate support can be read off the basis, so only two echelon
     comparisons are ever needed.  Raises :class:`InvalidRange` unless
     ``1 <= k <= n-1``.

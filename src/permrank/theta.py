@@ -1,8 +1,10 @@
 """The maximal subspace graph and its threshold subgraph.
 
-Vertices are the maximal bounded-rank subspaces (row- and column-supported,
-one per k-element support set); the complete graph carries the dimension of
-the pairwise intersection as edge weight.  Weights follow the closed form
+Vertices are the bounded-rank subspaces of maximal dimension (row- and
+column-supported, one per k-element support set; that these are all of them
+needs n >= 3, see :mod:`permrank.subspace`); the complete graph carries the
+dimension of the pairwise intersection as edge weight.  Weights follow the
+closed form
 
     row/col cross pair:      k^2
     same orientation:        n * |S /\\ S'|
@@ -85,6 +87,11 @@ def pair_weight(n: int, u: ThetaVertex, v: ThetaVertex) -> int:
 
 def build_theta(n: int, k: int, *, cross_validate: bool | None = None) -> ThetaGraph:
     """Build the complete weighted graph for parameters ``1 <= k <= n-1``.
+
+    The vertices are the row- and column-supported subspaces.  For n >= 3
+    they are exactly the subspaces of maximal dimension inside {prk <= k}.
+    At n = 2 the graph is built the same way but misses other planes: over
+    F_p, {prk <= 1} holds 2(p+1) of them and only 4 are supported.
 
     Vertices are ordered: row supports in lexicographic order, then column
     supports.  For small ``n`` (by default n <= 4) every weight is

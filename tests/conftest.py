@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from permrank import PrimeField, Rationals
+from permrank._batch import bounded_prk_table
 
 settings.register_profile(
     "det",
@@ -25,3 +26,10 @@ def F5():
 @pytest.fixture
 def Q():
     return Rationals()
+
+
+@pytest.fixture
+def release_tables():
+    """Drop the cached enumeration tables afterwards: at n = 4 they are large."""
+    yield
+    bounded_prk_table.cache_clear()

@@ -7,7 +7,7 @@ import pytest
 
 from permrank import Matrix, PrimeField, per_fast, prk_decide_leq
 from permrank._batch import (
-    batch_per,
+    _minor_dtype,
     batch_prk_leq,
     bounded_prk_table,
     code_digits,
@@ -29,18 +29,51 @@ def test_batch_prk_mask_matches_scalar(p):
             assert prk_decide_leq(Matrix(n, n, row, field), k) == bool(ok)
 
 
-def test_batch_per_matches_scalar():
-    p, n = 5, 4
+# One prime on each side of the int16/int64 switch (n * (p-1)^2 < 2^15) per n.
+_SWITCH_PRIMES = {4: (89, 97), 5: (79, 83), 6: (73, 79)}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_batch_prk_leq_matches_scalar(n):
+    narrow, wide = _SWITCH_PRIMES[n]
+    assert _minor_dtype(n, narrow) == np.int16 and _minor_dtype(n, wide) == np.int64
+    for p in (3, 5, narrow, wide):
+        field = PrimeField(p)
+        rng = random.Random(f"leq:{n}:{p}")
+        for k in range(n + 1):
+            rows = []
+            for i in range(40):
+                m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                if i % 2:
+                    # rows k+1..n zeroed, then the rows shuffled: prk <= k
+                    m = [m[r] if r < k else [0] * n for r in range(n)]
+                    rng.shuffle(m)
+                rows.append([v for row in m for v in row])
+            mask = batch_prk_leq(np.array(rows, dtype=np.int64), n, k, p)
+            for row, ok in zip(rows, mask):
+                assert prk_decide_leq(Matrix(n, n, row, field), k) == bool(ok), (p, k, row)
+
+
+def test_batch_prk_leq_exact_past_int64():
+    # 3 * (p-1)^2 > 2^63, and entries near p make the products near 2^62: a
+    # kernel that wrapped would read cancelling permanents as nonzero
+    p, n = 2**31 - 1, 3
+    assert _minor_dtype(n, p) is object
     field = PrimeField(p)
-    rng = random.Random(9)
-    rows = [[rng.randrange(p) for _ in range(n * n)] for _ in range(100)]
-    mats = np.array(rows, dtype=np.int64)
-    idx = (0, 2, 3)
-    values = batch_per(mats, n, p, idx, idx)
-    one_based = tuple(i + 1 for i in idx)
-    for row, value in zip(rows, values):
-        m = Matrix(n, n, row, field)
-        assert per_fast(m.submatrix(one_based, one_based)) == field(int(value))
+    rng = random.Random(31)
+    rows = []
+    for i in range(40):
+        a = [rng.randrange(p - 2**20, p) for _ in range(n * n)]
+        if i % 2:
+            # choose the last entry so that the permanent vanishes mod p
+            m = Matrix(n, n, a, field)
+            cof = [int(per_fast(m.submatrix((1, 2), cols)).value) for cols in ((2, 3), (1, 3), (1, 2))]
+            a[8] = -(a[6] * cof[0] + a[7] * cof[1]) * pow(cof[2], -1, p) % p
+        rows.append(a)
+    mask = batch_prk_leq(np.array(rows, dtype=np.int64), n, n - 1, p)
+    assert mask.sum() == 20
+    for row, ok in zip(rows, mask):
+        assert prk_decide_leq(Matrix(n, n, row, field), n - 1) == bool(ok)
 
 
 def test_code_round_trip():
@@ -53,19 +86,46 @@ def test_code_round_trip():
     assert digits[3].tolist() == [0, 0, 0, 1, 0]
 
 
-def test_bounded_table_counts_match_scalar_on_sample():
-    mask, member_digits = bounded_prk_table(3, 3, 2)
-    assert mask.shape[0] == 3**9
-    # the members are exactly the masked codes, in ascending code order
-    assert encode_digits(member_digits, 3).tolist() == np.flatnonzero(mask).tolist()
-    # rank <= 2 for a 3x3 matrix just means the full permanent vanishes
-    field = PrimeField(3)
-    rng = random.Random(1)
-    for _ in range(200):
-        code = rng.randrange(3**9)
-        digits = code_digits(np.array([code]), 9, 3)[0]
-        m = Matrix(3, 3, [int(v) for v in digits], field)
-        assert bool(mask[code]) == per_fast(m).is_zero
+def test_code_round_trip_past_int16():
+    p = 32771
+    codes = np.array([0, 32767, 32768, p - 1, p * 32768 + 32769, p**2 - 1], dtype=np.int64)
+    digits = code_digits(codes, 2, p)
+    assert digits[2].tolist() == [0, 32768]
+    assert digits[4].tolist() == [32768, 32769]
+    assert (encode_digits(digits, p) == codes).all()
+
+
+def _scalar_prk_leq(code, n, p, k):
+    digits = code_digits(np.array([code]), n * n, p)[0]
+    return prk_decide_leq(Matrix(n, n, [int(v) for v in digits], PrimeField(p)), k)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (2, 7), (3, 3)])
+def test_bounded_table_matches_scalar_on_every_code(n, p):
+    for k in range(n + 1):
+        mask, member_digits = bounded_prk_table(n, p, k)
+        assert mask.shape == (p ** (n * n),) and mask.dtype == bool
+        assert member_digits.dtype == np.int16
+        # the members are exactly the masked codes, in ascending code order
+        assert encode_digits(member_digits, p).tolist() == np.flatnonzero(mask).tolist()
+        for code in range(p ** (n * n)):
+            assert bool(mask[code]) == _scalar_prk_leq(code, n, p, k), (k, code)
+
+
+# k = n - 1 at (3, 7) and (4, 3) is left out: those tables hold 40M and 43M
+# codes with millions of members, hundreds of MB in all.
+@pytest.mark.parametrize("n,p,ks", [(3, 5, (0, 1, 2)), (3, 7, (0, 1)), (4, 3, (0, 1, 2))])
+def test_bounded_table_matches_scalar_on_sample(n, p, ks, release_tables):
+    rng = random.Random(f"table:{n}:{p}")
+    for k in ks:
+        mask, member_digits = bounded_prk_table(n, p, k)
+        assert encode_digits(member_digits, p).tolist() == np.flatnonzero(mask).tolist()
+        # random codes, and random members so that the sample holds both answers
+        members = encode_digits(member_digits, p)
+        codes = [rng.randrange(p ** (n * n)) for _ in range(150)]
+        codes += [int(members[rng.randrange(len(members))]) for _ in range(150)]
+        for code in codes:
+            assert bool(mask[code]) == _scalar_prk_leq(code, n, p, k), (k, code)
 
 
 def test_matrix_ints_round_trip():

@@ -309,6 +309,25 @@ class TestCheckPreserves:
             mat([[1, 0, 1], [0, 0, 0], [0, 0, 0]], F3),
         ]
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exhaustive_at_n4_agrees_with_structural(self, F3, k, release_tables):
+        # 3^16 matrices; k = 3 is left out, its table lists 17M members
+        rng = random.Random(f"n4:{k}")
+        canonical = compose_canonical(random_canonical_preserver(rng, 4, F3))
+        maps = {
+            "preserver": [canonical, LinearMap.transposition(4, F3)],
+            "not_preserver": [random_bijective_map(rng, 4, F3)],
+        }
+        for kind, tmaps in maps.items():
+            for t in tmaps:
+                exhaustive = check_preserves(t, k, mode="exhaustive")
+                assert exhaustive.kind == kind
+                assert check_preserves(t, k, mode="structural").kind == kind
+                if kind == "not_preserver":
+                    counter = exhaustive.counterexample
+                    assert prk_decide_leq(counter, k)
+                    assert prk(t.apply(counter)).rank > k
+
 
 def _lex_smaller_f3(code):
     # all vectors over F_3 strictly below the given one, lexicographically
