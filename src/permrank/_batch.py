@@ -2,21 +2,22 @@
 
 These accelerate exhaustive searches (all matrices over F_p, all members of a
 finite span).  Arrays hold residues mod p and every reduction is integer
-arithmetic, so the results are exact; the scalar code in
-:mod:`permrank.permanent` remains the reference semantics and the tests check
-the two against each other.
+arithmetic, so the results are exact.  The reference semantics is the
+definitional permanent, ``per_naive`` on every minor (``tests/oracle.py``);
+the tests check these kernels against it and against the scalar path.
 
 Matrices are flattened row-major.  Codes are base-p integers with the first
 entry as the most significant digit, so ascending code order is lexicographic
 order on entry tuples; "first counterexample" therefore means the
 lexicographically least one.
 
-One kernel serves every enumeration: :func:`_laplace_step` grows the
-permanents of all minors on a row set by one row, mod p, on arrays that
-broadcast.  :func:`batch_prk_leq` runs it on a batch of matrices;
-:func:`bounded_prk_table` runs it once on the p**n row codes laid out on
-separate axes, because prk <= k is a condition on the rows taken k+1 at a
-time.
+One Laplace step serves every enumeration and the scalar ``prk`` walk:
+:func:`permrank.permanent._laplace_step` grows the permanents of all minors
+on a row set by one row, mod p, here on arrays that broadcast, each row
+given as dense ``(column bit, entry)`` pairs.  :func:`batch_prk_leq` runs it
+on a batch of matrices; :func:`bounded_prk_table` runs it once on the p**n
+row codes laid out on separate axes, because prk <= k is a condition on the
+rows taken k+1 at a time.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import numpy as np
 from .errors import BudgetExceeded
 from .fields import PrimeField
 from .matrices import Matrix
+from .permanent import _laplace_step
 
 #: Default ceiling on the number of enumerated matrices per exhaustive call.
 DEFAULT_BUDGET = 1 << 26
-
-_CHUNK = 1 << 16
 
 
 def code_digits(codes: np.ndarray, width: int, p: int) -> np.ndarray:
@@ -52,17 +52,6 @@ def encode_digits(digits: np.ndarray, p: int) -> np.ndarray:
     return digits.astype(np.int64) @ powers
 
 
-def iter_digit_chunks(width: int, p: int, chunk: int = _CHUNK):
-    """Yield ``(start, digits)`` blocks covering all p**width codes in order."""
-    total = p**width
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        yield start, code_digits(codes, width, p)
-        start = stop
-
-
 def _minor_dtype(n: int, p: int):
     """The narrowest type in which a sum of n products of residues fits.
 
@@ -74,24 +63,9 @@ def _minor_dtype(n: int, p: int):
     return np.int64 if bound < 1 << 63 else object
 
 
-def _laplace_step(minors: dict, row, p: int) -> dict:
-    """Grow the minors of a row set by one row, by Laplace expansion along it.
-
-    ``minors`` maps each t-subset of columns (a sorted tuple) to the permanent,
-    mod p, of the row set's minor on those columns; ``{(): 1}`` is the empty
-    row set.  ``row[j]`` is the new row's entry in column j; every value is an
-    array and they broadcast together.  Returns the same map for the
-    (t+1)-subsets: per(S) is the sum over j in S of per(S - j) * row[j].
-    """
-    n = len(row)
-    size = len(next(iter(minors))) + 1
-    out = {}
-    for cols in combinations(range(n), size):
-        acc = minors[cols[1:]] * row[cols[0]]
-        for i in range(1, size):
-            acc += minors[cols[:i] + cols[i + 1 :]] * row[cols[i]]
-        out[cols] = np.remainder(acc, p, out=acc)
-    return out
+def _dense(row) -> list:
+    """Every entry of ``row`` as a ``(column bit, value)`` pair."""
+    return [(1 << j, v) for j, v in enumerate(row)]
 
 
 def _all_vanish(minors: dict) -> np.ndarray:
@@ -109,8 +83,9 @@ def batch_prk_leq(mats: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
     m = k + 1
     if m > n:
         return ok
-    # rows[r][j] is entry (r, j) of every matrix in the batch
+    # rows[r] is row r of every matrix in the batch, as dense entries
     rows = mats.reshape(count, n, n).transpose(1, 2, 0).astype(_minor_dtype(n, p))
+    rows = [_dense(row) for row in rows]
 
     def walk(minors, start, depth):
         if depth == m:
@@ -119,7 +94,7 @@ def batch_prk_leq(mats: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
         for r in range(start, n - m + depth + 1):
             walk(_laplace_step(minors, rows[r], p), r + 1, depth + 1)
 
-    walk({(): 1}, 0, 0)
+    walk({0: 1}, 0, 0)
     return ok
 
 
@@ -139,11 +114,11 @@ def _bounded_mask(n: int, p: int, m: int) -> np.ndarray:
     if m > n:
         return mask
     columns = code_digits(np.arange(P), n, p).T.astype(_minor_dtype(n, p))
-    minors = {(): 1}
+    minors = {0: 1}
     for t in range(m):
         # the t-th row of the row set varies along axis t
         row = columns.reshape((n,) + (1,) * t + (P,) + (1,) * (m - 1 - t))
-        minors = _laplace_step(minors, row, p)
+        minors = _laplace_step(minors, _dense(row), p)
     ok = _all_vanish(minors)
     for row_set in combinations(range(n), m):
         mask &= ok.reshape([P if r in row_set else 1 for r in range(n)])
@@ -167,12 +142,6 @@ def check_enumeration_budget(count: int, budget: int | None):
     budget = DEFAULT_BUDGET if budget is None else budget
     if count > budget:
         raise BudgetExceeded(f"enumeration of {count} cases exceeds budget {budget}")
-
-
-def matrix_ints(m: Matrix) -> np.ndarray:
-    """Flattened int64 residues of a prime-field matrix (row-major)."""
-    assert isinstance(m.field, PrimeField)
-    return np.array(m.data, dtype=np.int64)
 
 
 def ints_to_matrix(flat, n: int, field: PrimeField) -> Matrix:

@@ -188,6 +188,8 @@ def verify_converse_sampled(
     """
     _check_trials(trials)
     field = PrimeField(p)
+    # the exhaustive route's budget, checked before any operator is sampled
+    check_enumeration_budget(p ** (n * n), None)
     report = VerificationReport(
         suite="thm12-converse",
         params={"n": n, "k": k, "p": p, "trials": trials, "seed": seed},

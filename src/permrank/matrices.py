@@ -114,15 +114,6 @@ class Matrix:
                 vals.append(acc)
         return Matrix(n, m, vals, self.field)
 
-    def hadamard(self, other: "Matrix") -> "Matrix":
-        """Entrywise product."""
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("entrywise product needs equal shapes")
-        mul = self.field.mul
-        vals = [mul(a, b) for a, b in zip(self.data, other.data)]
-        return Matrix(self.rows, self.cols, vals, self.field)
-
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
         mul = self.field.mul

@@ -16,6 +16,11 @@ them one row at a time by Laplace expansion, and prunes a row set with no
 nonzero minor, so a matrix whose minors are mostly zero costs little.  The
 witness is the same either way: the lexicographically first row set with a
 nonzero m-minor, and the first column set within it.
+
+One Laplace step, ``_laplace_step``, serves both this walk and the
+enumeration tables of :mod:`permrank._batch`: minors are keyed by column bit
+masks, and their values are Python ints here and broadcast NumPy arrays
+there.
 """
 
 from __future__ import annotations
@@ -184,15 +189,7 @@ def _first_nonzero_minor(rows, p: int, m: int):
         # stop early enough that m - len(picked) live rows remain
         for t in range(start, len(live) - m + len(picked) + 1):
             i, entries = live[t]
-            child = {}
-            for cols, per in minors.items():
-                for bit, v in entries:
-                    if not cols & bit:
-                        key = cols | bit
-                        child[key] = child.get(key, 0) + per * v
-            if p:
-                child = {cols: per % p for cols, per in child.items()}
-            child = {cols: per for cols, per in child.items() if per}
+            child = {cols: per for cols, per in _laplace_step(minors, entries, p).items() if per}
             if child:
                 found = walk(picked + [i], child, t + 1)
                 if found:
@@ -200,6 +197,31 @@ def _first_nonzero_minor(rows, p: int, m: int):
         return None
 
     return walk([], {0: 1}, 0)
+
+
+def _laplace_step(minors: dict, entries, p: int) -> dict:
+    """Grow the minors of a row set by one row, by Laplace expansion along it.
+
+    ``minors`` maps a column set (a bit mask) to the permanent, mod p (exact
+    when p = 0), of the row set's minor on those columns; ``{0: 1}`` is the
+    empty row set.  ``entries`` lists the new row as ``(column bit, value)``
+    pairs; columns left out count as zero.  Values are ints or arrays that
+    broadcast together.  Returns the same map for one more row: per(S) is the
+    sum over j in S of per(S - j) * a_j, accumulated in place and reduced.
+    """
+    out = {}
+    for cols, per in minors.items():
+        for bit, v in entries:
+            if not cols & bit:
+                key = cols | bit
+                if key in out:
+                    out[key] += per * v
+                else:
+                    out[key] = per * v
+    if p:
+        for key in out:
+            out[key] %= p
+    return out
 
 
 def _bits(mask: int) -> tuple:

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from ._batch import (
-    batch_prk_leq,
-    check_enumeration_budget,
-    ints_to_matrix,
-    iter_digit_chunks,
-    matrix_ints,
-)
+from ._batch import batch_prk_leq, check_enumeration_budget, code_digits, ints_to_matrix
 from .errors import (
     BudgetExceeded,
     DependentBasis,
@@ -45,6 +39,8 @@ COL = "col"
 
 #: Exhaustive span enumeration refuses to walk more members than this.
 SPAN_BUDGET = 1 << 24
+#: Members per batch of the exhaustive span walk.
+_CHUNK = 1 << 16
 
 
 def _check_members(n: int, field: Field, mats):
@@ -196,9 +192,11 @@ def within_prk_bound(
         if not isinstance(field, PrimeField):
             raise BudgetExceeded("exhaustive span enumeration needs a finite field")
         p = field.p
-        check_enumeration_budget(p**v.dim, SPAN_BUDGET if budget is None else budget)
-        basis_ints = np.stack([matrix_ints(b) for b in v.basis])
-        for _, coords in iter_digit_chunks(v.dim, p):
+        total = p**v.dim
+        check_enumeration_budget(total, SPAN_BUDGET if budget is None else budget)
+        basis_ints = np.array([b.data for b in v.basis], dtype=np.int64)
+        for start in range(0, total, _CHUNK):
+            coords = code_digits(np.arange(start, min(start + _CHUNK, total)), v.dim, p)
             members = coords.astype(np.int64) @ basis_ints % p
             ok = batch_prk_leq(members, n, k, p)
             if not ok.all():

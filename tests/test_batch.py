@@ -1,19 +1,21 @@
-"""The integer enumeration kernels must agree with the scalar reference path."""
+"""The integer enumeration kernels must agree with the definitional oracle
+(``tests/oracle.py``, ``per_naive`` on every minor) and with the scalar path."""
 
 import random
 
 import numpy as np
 import pytest
 
-from permrank import Matrix, PrimeField, per_fast, prk_decide_leq
+from permrank import Matrix, PrimeField, per_fast, per_naive, prk_decide_leq
 from permrank._batch import (
     _minor_dtype,
     batch_prk_leq,
     bounded_prk_table,
     code_digits,
     encode_digits,
-    matrix_ints,
 )
+
+from oracle import prk_oracle
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -128,7 +130,61 @@ def test_bounded_table_matches_scalar_on_sample(n, p, ks, release_tables):
             assert bool(mask[code]) == _scalar_prk_leq(code, n, p, k), (k, code)
 
 
-def test_matrix_ints_round_trip():
-    field = PrimeField(7)
-    m = Matrix(2, 2, [1, 6, 3, 0], field)
-    assert matrix_ints(m).tolist() == [1, 6, 3, 0]
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5)])
+def test_bounded_table_matches_oracle_on_every_code(n, p):
+    field = PrimeField(p)
+    ranks = []
+    for code in range(p ** (n * n)):
+        digits = code_digits(np.array([code]), n * n, p)[0]
+        ranks.append(prk_oracle(Matrix(n, n, [int(v) for v in digits], field)))
+    for k in range(n + 1):
+        mask, _ = bounded_prk_table(n, p, k)
+        assert mask.tolist() == [r <= k for r in ranks], k
+
+
+def _low_rank(rng, n, p):
+    """A random matrix with all but r < n of its rows, or of its columns, zeroed."""
+    keep = rng.sample(range(n), rng.randrange(n))
+    m = [[rng.randrange(p) if r in keep else 0 for _ in range(n)] for r in range(n)]
+    if rng.random() < 0.5:
+        m = [list(col) for col in zip(*m)]
+    return m
+
+
+def _vanishing_per(rng, n, p):
+    """A random matrix whose last entry makes its permanent vanish mod p.
+
+    per is linear in the last entry: per(A) = rest + a_nn * per(leading minor).
+    A random matrix over F_97 almost never has prk < n without this.
+    """
+    field = PrimeField(p)
+    m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    m[-1][-1] = 0
+    a = Matrix(n, n, [v for row in m for v in row], field)
+    rest = int(per_naive(a).value)
+    coef = int(per_naive(a.submatrix(range(1, n), range(1, n))).value)
+    if coef:
+        m[-1][-1] = -rest * pow(coef, -1, p) % p
+    return m
+
+
+# 97 is on the int16 side of the switch at n = 3 and past it at n = 4.
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("p", [3, 5, 97])
+def test_batch_prk_leq_matches_oracle(n, p):
+    field = PrimeField(p)
+    rng = random.Random(f"oracle:{n}:{p}")
+    mats = []
+    for i in range(100):
+        if i % 2:
+            m = _low_rank(rng, n, p)
+        elif i % 4:
+            m = _vanishing_per(rng, n, p)
+        else:
+            m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        mats.append([v for row in m for v in row])
+    ranks = [prk_oracle(Matrix(n, n, a, field)) for a in mats]
+    assert min(ranks) < n - 1 and max(ranks) == n and ranks.count(n - 1) >= 20
+    for k in range(n + 1):
+        mask = batch_prk_leq(np.array(mats, dtype=np.int64), n, k, p)
+        assert mask.tolist() == [r <= k for r in ranks], k

@@ -379,3 +379,18 @@ def test_bad_input_exits_two_without_traceback(tmp_path, command, doc):
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_converse_over_budget_exits_before_the_first_trial():
+    # 3^1600 matrices: refused before any 1600 x 1600 operator is sampled
+    src = os.path.dirname(os.path.dirname(permrank.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permrank.cli", "verify", "--suite", "thm12-converse", "--n", "40", "--k", "1", "--trials", "1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=5,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: enumeration of {3 ** 1600} cases exceeds budget {1 << 26}")
+    assert proc.stderr.count("\n") == 1

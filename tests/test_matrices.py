@@ -13,7 +13,6 @@ from permrank import (
     mat,
     matrix_from_json,
     matrix_to_json,
-    ones,
     permutation_matrix,
     unit,
     zero_matrix,
@@ -79,15 +78,6 @@ class TestBuilders:
 
 
 class TestOps:
-    def test_hadamard(self, Q):
-        a = mat([[1, 2], [3, 4]], Q)
-        b = mat([[1, 0], [0, 1]], Q)
-        assert a.hadamard(b) == mat([[1, 0], [0, 4]], Q)
-
-    def test_hadamard_identity_is_all_ones(self, Q):
-        a = mat([[1, 2], [3, 4]], Q)
-        assert a.hadamard(ones(2, Q)) == a
-
     def test_transpose_unit(self, Q):
         assert unit(1, 2, 3, Q).transpose() == unit(2, 1, 3, Q)
 
@@ -133,15 +123,6 @@ class TestProperties:
         rng = random.Random(seed)
         a = random_matrix(rng, rng.randint(1, 4), QQ)
         assert a.transpose().transpose() == a
-
-    @given(seed=st.integers(0, 500))
-    def test_hadamard_commutes_and_associates(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        F = PrimeField(5)
-        a, b, c = (random_matrix(rng, n, F) for _ in range(3))
-        assert a.hadamard(b) == b.hadamard(a)
-        assert a.hadamard(b).hadamard(c) == a.hadamard(b.hadamard(c))
 
 
 class TestPermutation:

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from math import comb
 
+import networkx
 import pytest
 
 from permrank import (
@@ -195,3 +196,16 @@ class TestOutput:
         weights = {(e["u"], e["v"]): e["weight"] for e in doc["edges"]}
         assert weights[("R{1}", "R{2}")] == 0
         assert weights[("R{1}", "C{1}")] == 1
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_components_match_networkx(n):
+    for k in range(1, n):
+        hat = build_theta_hat(build_theta(n, k, cross_validate=False))
+        got = components(hat)
+        graph = networkx.Graph()
+        graph.add_nodes_from(range(len(hat.vertices)))
+        graph.add_edges_from(hat.edges)
+        # sorted tuples, ordered by least vertex (disjoint, so lexicographic order)
+        expected = sorted(tuple(sorted(c)) for c in networkx.connected_components(graph))
+        assert got == expected, (n, k)
