@@ -58,7 +58,10 @@ def _emit_json(doc) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise PermrankError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_matrix(path: str):
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
     except PermrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

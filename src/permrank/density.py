@@ -9,6 +9,9 @@ root; the constraint contributes at most ``degree`` more excluded values, and
 the least positive integer avoiding all of them works.  Only the rationals
 are supported: over a finite field the perturbation may have no admissible
 value at all.
+
+Each candidate changes one entry: of the grown (k x k) submatrix for the
+root test, and of ``A`` for the constraint and rank checks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     VerificationError,
 )
 from .fields import Rationals, Scalar
-from .matrices import Matrix, unit, zero_matrix
+from .matrices import Matrix, zero_matrix
 from .permanent import per_fast, prk, prk_decide_leq
 
 
@@ -76,8 +79,14 @@ def lift_rank(
 
     Returns ``X = A + mu * E_{i,j}`` for the least positive integer ``mu``
     avoiding the single root of the enlarged subpermanent and every root of
-    the constraint.  The result is machine-verified before returning: rank
-    exactly one above the input, constraint nonzero.
+    the constraint.  The enlarged subpermanent is evaluated on the grown
+    submatrix with its one entry changed; its values at mu = 0, 1, 2 are
+    checked to be affine with slope equal to the witness permanent, and are
+    reused for the candidates mu = 1, 2.  ``X`` is built, with that one entry
+    changed, only for a candidate off the subpermanent's root.  The result is
+    machine-verified before returning: rank exactly one above the input,
+    constraint nonzero.  Raises :class:`VerificationError` when a check fails
+    or when no candidate up to ``degree + 2`` is admissible.
     """
     field = a.field
     if not isinstance(field, Rationals):
@@ -106,25 +115,26 @@ def lift_rank(
     target_rank = witness.rank + 1
     grown_rows = tuple(sorted(witness.row_set + (i,)))
     grown_cols = tuple(sorted(witness.col_set + (j,)))
-    e = unit(i, j, n, field)
+    grown = a.submatrix(grown_rows, grown_cols)
+    grown_at = (grown_rows.index(i) + 1, grown_cols.index(j) + 1)
 
     def grown_per(mu: int) -> Scalar:
-        return per_fast((a + e.scale(mu)).submatrix(grown_rows, grown_cols))
+        return per_fast(_plus_unit(grown, grown_at, mu))
 
     # The grown subpermanent is affine in mu with slope equal to the witness
     # permanent; check both facts numerically before trusting the root count.
-    q0, q1, q2 = grown_per(0), grown_per(1), grown_per(2)
-    if q2 - q1 != q1 - q0:
+    q = [grown_per(mu) for mu in range(3)]
+    if q[2] - q[1] != q[1] - q[0]:
         raise VerificationError("grown subpermanent is not affine in the perturbation")
-    if q1 - q0 != witness.per_value:
+    if q[1] - q[0] != witness.per_value:
         raise VerificationError(
             "slope of the grown subpermanent differs from the witness permanent"
         )
 
     for mu in range(1, constraint.degree + 3):
-        x = a + e.scale(mu)
-        if grown_per(mu).is_zero:
+        if (q[mu] if mu < 3 else grown_per(mu)).is_zero:
             continue
+        x = _plus_unit(a, (i, j), mu)
         if constraint.evaluate(x).is_zero:
             continue
         if not prk_decide_leq(x, target_rank):
@@ -134,6 +144,16 @@ def lift_rank(
         "no admissible perturbation within degree+2 candidates; "
         "the declared constraint degree is too small"
     )
+
+
+def _plus_unit(m: Matrix, position: tuple, mu: int) -> Matrix:
+    """``m + mu * E_{i,j}`` for the 1-based ``position = (i, j)``: a copy of
+    ``m`` with that one entry changed."""
+    i, j = position
+    data = list(m.data)
+    at = (i - 1) * m.cols + (j - 1)
+    data[at] = m.field.add(data[at], m.field.coerce(mu))
+    return Matrix(m.rows, m.cols, data, m.field)
 
 
 def lift_chain(

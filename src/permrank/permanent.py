@@ -8,9 +8,12 @@ lifted to ints once per call (``_lift``); ``per_fast``, ``prk`` and
 ``prk_decide_leq`` run on the lifted rows and divide a reported value back.
 
 ``prk`` and ``prk_decide_leq`` ask, for a size m, for the first m-square
-submatrix with nonzero permanent (``_first_nonzero_minor``).  It probes the
-leading m x m minor with the kernel, which at m = n is the one full-size
-evaluation, and otherwise walks row sets depth first in lexicographic order.
+submatrix with nonzero permanent (``_first_nonzero_minor``).  A matrix with
+fewer than m nonzero rows, or fewer than m nonzero columns, has none, and is
+answered at once; a matrix supported on a few columns costs no more than its
+transpose.  Otherwise it probes the leading m x m minor with the kernel,
+which at m = n is the one full-size evaluation, and then walks row sets depth
+first in lexicographic order.
 The walk keeps the nonzero minors of each row set by column set, extends
 them one row at a time by Laplace expansion, and prunes a row set with no
 nonzero minor, so a matrix whose minors are mostly zero costs little.  The
@@ -166,13 +169,15 @@ def _first_nonzero_minor(rows, p: int, m: int):
     ``rows`` are lifted ints (see :func:`_lift`).  The witness is the first in
     lexicographic order of row index sets and, within that row set, of column
     index sets; returns ``(row_idx, col_idx, per)`` with 0-based indices and
-    the lifted permanent.  The leading minor is probed, then row sets are
-    walked as the module docstring describes.  A row set R whose |R|-square
-    minors all vanish is pruned: by Laplace expansion along R, so does every
-    minor on a row set containing R.
+    the lifted permanent.  Returns ``None`` at once when fewer than ``m``
+    rows or fewer than ``m`` columns are nonzero, since every ``m``-square
+    submatrix then has a zero row or column.  Otherwise the leading minor is
+    probed, then row sets are walked as the module docstring describes.  A
+    row set R whose |R|-square minors all vanish is pruned: by Laplace
+    expansion along R, so does every minor on a row set containing R.
     """
     nonzero = [i for i, row in enumerate(rows) if any(row)]
-    if len(nonzero) < m:
+    if len(nonzero) < m or sum(map(any, zip(*rows))) < m:
         return None
     value = _per_int([row[:m] for row in rows[:m]], p)
     if value:

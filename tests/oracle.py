@@ -70,7 +70,8 @@ def cancelling_matrices(field, n: int, seed):
     Entries are 0 or +-1 over Q and any residue over F_p, so Laplace sums
     cancel often.  Two each of: dense, sparse, dense with a zero row and a
     zero column, and a random k x k block padded with zeros whose rows and
-    columns are then permuted.
+    columns are then permuted.  Last, a matrix whose nonzero entries lie in
+    k < n random columns, and its transpose.
     """
     rng = random.Random(seed)
 
@@ -89,4 +90,7 @@ def cancelling_matrices(field, n: int, seed):
         block = [[entry(1) if r < k and c < k else 0 for c in range(n)] for r in range(n)]
         rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
         out.append([[block[r][c] for c in cols] for r in rows])
+    support = rng.sample(range(n), rng.randrange(n))
+    supported = [[entry(1) if c in support else 0 for c in range(n)] for _ in range(n)]
+    out += [supported, [list(col) for col in zip(*supported)]]
     return [mat(rows, field) for rows in out]

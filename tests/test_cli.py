@@ -1,9 +1,12 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import permrank
 from permrank import (
@@ -394,3 +397,143 @@ def test_converse_over_budget_exits_before_the_first_trial():
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: enumeration of {3 ** 1600} cases exceeds budget {1 << 26}")
     assert proc.stderr.count("\n") == 1
+
+
+# -- fuzz: malformed documents ------------------------------------------------
+
+
+def test_deeply_nested_document_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["per", str(path)]) == 2
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+#: JSON values that are no scalar of any field, no shape and no field tag.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from(["", "abc", "1/0", "1.5.2", "x/2", "--1"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_BAD_FIELD = st.one_of(
+    st.sampled_from(["", "R", "q", "F4", "F1", "F-3", "Fp:2", "Fp:9", "Fp:x"]), st.integers(), st.none()
+)
+_MATRIX_KEYS = ("field", "rows", "cols", "entries")
+_MAP_KEYS = ("n", "field", "matrix", "vectorization")
+
+
+def _unknown_fields(known):
+    return st.dictionaries(st.text(min_size=1, max_size=6).filter(lambda k: k not in known), _JUNK, max_size=2)
+
+
+@st.composite
+def _bad_matrix_doc(draw):
+    """A matrix document with one fault, plus unknown fields as noise."""
+    n = draw(st.integers(1, 3))
+    field = draw(st.sampled_from(["Q", "F3", "Fp:5"]))
+    entries = [[str(draw(st.integers(-2, 2))) for _ in range(n)] for _ in range(n)]
+    doc = {"field": field, "rows": n, "cols": n, "entries": entries}
+    fault = draw(st.sampled_from(
+        ["shape", "shape-type", "entry", "ragged", "field", "missing", "not-square", "rows-not-lists"]
+    ))
+    if fault == "shape":
+        doc[draw(st.sampled_from(["rows", "cols"]))] = draw(st.integers(-3, 6).filter(lambda m: m != n))
+    elif fault == "shape-type":
+        doc[draw(st.sampled_from(["rows", "cols"]))] = draw(_JUNK.filter(lambda v: not isinstance(v, int)))
+    elif fault == "entry":
+        entries[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_JUNK)
+    elif fault == "ragged":
+        row = entries[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("1")
+    elif fault == "field":
+        doc["field"] = draw(_BAD_FIELD)
+    elif fault == "missing":
+        doc.pop(draw(st.sampled_from(_MATRIX_KEYS)))
+    elif fault == "not-square":
+        doc["cols"] = n + 1
+        for row in entries:
+            row.append("1")
+    else:
+        doc["entries"] = draw(st.one_of(_JUNK, st.lists(_JUNK, min_size=1, max_size=2)))
+    doc.update(draw(_unknown_fields(_MATRIX_KEYS)))
+    return doc
+
+
+@st.composite
+def _bad_map_doc(draw):
+    """A linear-map document (n = 3) with one fault, plus unknown fields."""
+    size = 9
+    matrix = [[int(r == c) for c in range(size)] for r in range(size)]
+    doc = {"n": 3, "field": draw(st.sampled_from(["Q", "F3", "F5"])), "matrix": matrix}
+    fault = draw(st.sampled_from(["n", "n-type", "entry", "ragged", "field", "missing", "vectorization", "rows"]))
+    if fault == "n":
+        doc["n"] = draw(st.integers(-5, 5).filter(lambda m: m * m != size))
+    elif fault == "n-type":
+        doc["n"] = draw(_JUNK.filter(lambda v: not isinstance(v, int)))
+    elif fault == "entry":
+        matrix[draw(st.integers(0, size - 1))][draw(st.integers(0, size - 1))] = draw(_JUNK)
+    elif fault == "ragged":
+        row = matrix[draw(st.integers(0, size - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(0)
+    elif fault == "field":
+        doc["field"] = draw(_BAD_FIELD)
+    elif fault == "missing":
+        doc.pop(draw(st.sampled_from(_MAP_KEYS[:3])))
+    elif fault == "vectorization":
+        doc["vectorization"] = draw(st.one_of(_JUNK, st.text(max_size=12)).filter(lambda v: v != "row-major"))
+    else:
+        doc["matrix"] = draw(st.one_of(_JUNK, st.lists(_JUNK, min_size=1, max_size=2)))
+    doc.update(draw(_unknown_fields(_MAP_KEYS)))
+    return doc
+
+
+def _cut(doc, share):
+    text = json.dumps(doc)
+    return text[: int(len(text) * share)]
+
+
+def _as_text(docs):
+    """The document as JSON, or not a JSON object at all: another JSON value,
+    the document cut off, or bytes that are not UTF-8."""
+    return st.one_of(
+        docs.map(json.dumps),
+        _JUNK.map(json.dumps),
+        st.builds(_cut, docs, st.floats(0, 0.99)),
+        st.binary(max_size=8).map(lambda b: b"\xff" + b),
+    )
+
+
+_FUZZ_COMMANDS = {
+    "per": (["per"], _bad_matrix_doc()),
+    "prk": (["prk", "--witness"], _bad_matrix_doc()),
+    "lift": (["lift"], _bad_matrix_doc()),
+    "check-preserver": (["check-preserver", "--k", "1"], _bad_map_doc()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_COMMANDS))
+def test_fuzzed_bad_documents_exit_two_with_one_error_line(name, tmp_path_factory):
+    command, docs = _FUZZ_COMMANDS[name]
+    path = tmp_path_factory.mktemp(name) / "input.json"
+
+    @settings(derandomize=True, max_examples=150, database=None)
+    @given(_as_text(docs))
+    def run(text):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+        assert (code, out.getvalue()) == (2, ""), err.getvalue()
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, err.getvalue()
+
+    run()

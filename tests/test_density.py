@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from permrank import (
+    QQ,
     PolyConstraint,
     constant_one,
     entry_constraint,
@@ -19,8 +21,11 @@ from permrank import (
 from permrank.errors import (
     ConstraintVanishesAtA,
     FieldNotInfinite,
+    IndexOutOfRange,
     InvalidRange,
+    PermrankError,
     PositionInsideWitness,
+    VerificationError,
 )
 from permrank.sampling import sample_bounded_prk
 
@@ -114,6 +119,31 @@ class TestErrors:
         with pytest.raises(InvalidRange):
             lift_chain(3, 4)
 
+    @pytest.mark.parametrize("position", [(0, 2), (2, 4), (4, 4), (2, -1)])
+    def test_position_outside_the_matrix(self, Q, position):
+        with pytest.raises(IndexOutOfRange):
+            lift_rank(unit(1, 1, 3, Q), constant_one(), position)
+
+    def test_declared_degree_too_small(self, Q):
+        # degree 0 allows mu = 1, 2 only, and the constraint vanishes at both
+        f = PolyConstraint(
+            evaluate=lambda m: (m.entry(2, 2) - Q(1)) * (m.entry(2, 2) - Q(2)), degree=0
+        )
+        with pytest.raises(VerificationError, match="no admissible perturbation"):
+            lift_rank(unit(1, 1, 3, Q), f, (2, 2))
+
+    @pytest.mark.parametrize(
+        "fake, message",
+        [
+            (lambda per: per * per, "not affine"),
+            (lambda per: per + per, "slope of the grown subpermanent"),
+        ],
+    )
+    def test_grown_subpermanent_checks_are_live(self, Q, monkeypatch, fake, message):
+        monkeypatch.setattr("permrank.density.per_fast", lambda m: fake(per_fast(m)))
+        with pytest.raises(VerificationError, match=message):
+            lift_rank(unit(1, 1, 3, Q), constant_one())
+
 
 class TestConstraints:
     def test_entry_constraint(self, Q):
@@ -132,3 +162,666 @@ class TestConstraints:
         assert f.label == "perminor:1,2:2,3"
         m = mat([[0, 1, 1], [0, 1, 1], [0, 0, 0]], Q)
         assert f.evaluate(m) == Q(2)
+
+
+def _low_rank(rng, n, k, style):
+    """An n x n matrix over Q with k nonzero rows (``row``), k nonzero columns
+    (``col``) or a k x k block (``block``), rows and columns then permuted."""
+    def value():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+
+    width = n if style != "block" else k
+    rows = [[value() for _ in range(width)] + [0] * (n - width) for _ in range(k)]
+    rows += [[0] * n for _ in range(n - k)]
+    if style == "col":
+        rows = [list(col) for col in zip(*rows)]
+    row_order, col_order = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[rows[r][c] for c in col_order] for r in row_order]
+
+
+def _roots_at_one_and_two(i, j, a_ij):
+    """A degree-2 constraint that vanishes at ``A + mu E_ij`` for mu = 1, 2."""
+    return PolyConstraint(
+        evaluate=lambda m: (m.entry(i, j) - QQ(a_ij + 1)) * (m.entry(i, j) - QQ(a_ij + 2)),
+        degree=2,
+        label=f"roots:{i},{j}",
+    )
+
+
+def lift_cases():
+    """``(name, rows, constraint, position)`` on seeded inputs over Q.
+
+    Every n in 3..6, input rank bound k in 0..n-1 and input style, at the
+    default position and at a random explicit one (which may meet the
+    witness or fall outside 1..n).  Constraints: the constant one, an entry
+    constraint on a nonzero entry, a subpermanent through the perturbed row
+    (which may vanish at A), and one whose roots make the scan skip mu = 1, 2.
+    """
+    out = []
+    for n in range(3, 7):
+        for k in range(n):
+            for style in ("row", "col", "block", "sampled"):
+                rng = random.Random(f"lift:{n}:{k}:{style}")
+                if style == "sampled":
+                    rows = sample_bounded_prk(rng, n, k, QQ).raw_rows()
+                else:
+                    rows = _low_rank(rng, n, k, style)
+                w = prk(mat(rows, QQ))
+                default = (
+                    min(set(range(1, n + 1)) - set(w.row_set)),
+                    min(set(range(1, n + 1)) - set(w.col_set)),
+                )
+                explicit = (rng.randint(1, n), rng.randint(1, n + 1))
+                support = [(i + 1, j + 1) for i in range(n) for j in range(n) if rows[i][j]]
+                entry = rng.choice(support or [(1, 1)])
+                for tag, position in (("default", None), ("at", explicit)):
+                    i, j = default if position is None else explicit
+                    size = rng.randint(1, max(k, 1))
+                    minor_rows = [i] + rng.sample([t for t in range(1, n + 1) if t != i], size - 1)
+                    minor_cols = rng.sample(range(1, n + 1), size)
+                    constraints = {
+                        "one": constant_one(),
+                        "entry": entry_constraint(*entry),
+                        "perminor": subpermanent_constraint(minor_rows, minor_cols),
+                    }
+                    if j <= n:
+                        constraints["roots"] = _roots_at_one_and_two(i, j, rows[i - 1][j - 1])
+                    for kind, constraint in constraints.items():
+                        out.append((f"{n}-{k}-{style}-{tag}-{kind}", rows, constraint, position))
+    return out
+
+
+def lift_record(rows, constraint, position):
+    """The one changed entry of the lift as ``[i, j, value]``, or the error."""
+    a = mat(rows, QQ)
+    try:
+        x = lift_rank(a, constraint, position)
+    except PermrankError as exc:
+        return type(exc).__name__
+    changed = [
+        [i, j, str(x.entry(i, j).value)]
+        for i in range(1, a.rows + 1)
+        for j in range(1, a.cols + 1)
+        if x.entry(i, j) != a.entry(i, j)
+    ]
+    assert len(changed) == 1
+    return changed[0]
+
+
+#: Recorded with the lift that rebuilt the whole matrix for every candidate;
+#: the one-entry lift must give the same entries and the same error classes.
+LIFT_PINNED = {
+    '3-0-row-default-one': [1, 1, '1'],
+    '3-0-row-default-entry': 'ConstraintVanishesAtA',
+    '3-0-row-default-perminor': 'ConstraintVanishesAtA',
+    '3-0-row-default-roots': [1, 1, '3'],
+    '3-0-row-at-one': [3, 1, '1'],
+    '3-0-row-at-entry': 'ConstraintVanishesAtA',
+    '3-0-row-at-perminor': 'ConstraintVanishesAtA',
+    '3-0-row-at-roots': [3, 1, '3'],
+    '3-0-col-default-one': [1, 1, '1'],
+    '3-0-col-default-entry': 'ConstraintVanishesAtA',
+    '3-0-col-default-perminor': 'ConstraintVanishesAtA',
+    '3-0-col-default-roots': [1, 1, '3'],
+    '3-0-col-at-one': [1, 3, '1'],
+    '3-0-col-at-entry': 'ConstraintVanishesAtA',
+    '3-0-col-at-perminor': 'ConstraintVanishesAtA',
+    '3-0-col-at-roots': [1, 3, '3'],
+    '3-0-block-default-one': [1, 1, '1'],
+    '3-0-block-default-entry': 'ConstraintVanishesAtA',
+    '3-0-block-default-perminor': 'ConstraintVanishesAtA',
+    '3-0-block-default-roots': [1, 1, '3'],
+    '3-0-block-at-one': [1, 3, '1'],
+    '3-0-block-at-entry': 'ConstraintVanishesAtA',
+    '3-0-block-at-perminor': 'ConstraintVanishesAtA',
+    '3-0-block-at-roots': [1, 3, '3'],
+    '3-0-sampled-default-one': [1, 1, '1'],
+    '3-0-sampled-default-entry': 'ConstraintVanishesAtA',
+    '3-0-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '3-0-sampled-default-roots': [1, 1, '3'],
+    '3-0-sampled-at-one': [3, 2, '1'],
+    '3-0-sampled-at-entry': 'ConstraintVanishesAtA',
+    '3-0-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '3-0-sampled-at-roots': [3, 2, '3'],
+    '3-1-row-default-one': [1, 2, '1'],
+    '3-1-row-default-entry': [1, 2, '1'],
+    '3-1-row-default-perminor': 'ConstraintVanishesAtA',
+    '3-1-row-default-roots': [1, 2, '3'],
+    '3-1-row-at-one': 'IndexOutOfRange',
+    '3-1-row-at-entry': 'IndexOutOfRange',
+    '3-1-row-at-perminor': 'ConstraintVanishesAtA',
+    '3-1-col-default-one': [2, 2, '1'],
+    '3-1-col-default-entry': [2, 2, '1'],
+    '3-1-col-default-perminor': 'ConstraintVanishesAtA',
+    '3-1-col-default-roots': [2, 2, '3'],
+    '3-1-col-at-one': 'PositionInsideWitness',
+    '3-1-col-at-entry': 'PositionInsideWitness',
+    '3-1-col-at-perminor': 'ConstraintVanishesAtA',
+    '3-1-col-at-roots': 'PositionInsideWitness',
+    '3-1-block-default-one': [1, 2, '1'],
+    '3-1-block-default-entry': [1, 2, '1'],
+    '3-1-block-default-perminor': 'ConstraintVanishesAtA',
+    '3-1-block-default-roots': [1, 2, '3'],
+    '3-1-block-at-one': 'PositionInsideWitness',
+    '3-1-block-at-entry': 'PositionInsideWitness',
+    '3-1-block-at-perminor': 'ConstraintVanishesAtA',
+    '3-1-block-at-roots': 'PositionInsideWitness',
+    '3-1-sampled-default-one': [2, 2, '1'],
+    '3-1-sampled-default-entry': [2, 2, '1'],
+    '3-1-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '3-1-sampled-default-roots': [2, 2, '3'],
+    '3-1-sampled-at-one': 'PositionInsideWitness',
+    '3-1-sampled-at-entry': 'PositionInsideWitness',
+    '3-1-sampled-at-perminor': 'PositionInsideWitness',
+    '3-1-sampled-at-roots': 'PositionInsideWitness',
+    '3-2-row-default-one': [1, 3, '1'],
+    '3-2-row-default-entry': [1, 3, '1'],
+    '3-2-row-default-perminor': 'ConstraintVanishesAtA',
+    '3-2-row-default-roots': [1, 3, '3'],
+    '3-2-row-at-one': 'PositionInsideWitness',
+    '3-2-row-at-entry': 'PositionInsideWitness',
+    '3-2-row-at-perminor': 'PositionInsideWitness',
+    '3-2-row-at-roots': 'PositionInsideWitness',
+    '3-2-col-default-one': [3, 3, '1'],
+    '3-2-col-default-entry': [3, 3, '1'],
+    '3-2-col-default-perminor': [3, 3, '1'],
+    '3-2-col-default-roots': [3, 3, '3'],
+    '3-2-col-at-one': 'PositionInsideWitness',
+    '3-2-col-at-entry': 'PositionInsideWitness',
+    '3-2-col-at-perminor': 'ConstraintVanishesAtA',
+    '3-2-col-at-roots': 'PositionInsideWitness',
+    '3-2-block-default-one': [2, 1, '1'],
+    '3-2-block-default-entry': [2, 1, '1'],
+    '3-2-block-default-perminor': 'ConstraintVanishesAtA',
+    '3-2-block-default-roots': [2, 1, '3'],
+    '3-2-block-at-one': [2, 1, '1'],
+    '3-2-block-at-entry': [2, 1, '1'],
+    '3-2-block-at-perminor': 'ConstraintVanishesAtA',
+    '3-2-block-at-roots': [2, 1, '3'],
+    '3-2-sampled-default-one': [3, 2, '1'],
+    '3-2-sampled-default-entry': [3, 2, '1'],
+    '3-2-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '3-2-sampled-default-roots': [3, 2, '3'],
+    '3-2-sampled-at-one': 'IndexOutOfRange',
+    '3-2-sampled-at-entry': 'IndexOutOfRange',
+    '3-2-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '4-0-row-default-one': [1, 1, '1'],
+    '4-0-row-default-entry': 'ConstraintVanishesAtA',
+    '4-0-row-default-perminor': 'ConstraintVanishesAtA',
+    '4-0-row-default-roots': [1, 1, '3'],
+    '4-0-row-at-one': [1, 3, '1'],
+    '4-0-row-at-entry': 'ConstraintVanishesAtA',
+    '4-0-row-at-perminor': 'ConstraintVanishesAtA',
+    '4-0-row-at-roots': [1, 3, '3'],
+    '4-0-col-default-one': [1, 1, '1'],
+    '4-0-col-default-entry': 'ConstraintVanishesAtA',
+    '4-0-col-default-perminor': 'ConstraintVanishesAtA',
+    '4-0-col-default-roots': [1, 1, '3'],
+    '4-0-col-at-one': [2, 4, '1'],
+    '4-0-col-at-entry': 'ConstraintVanishesAtA',
+    '4-0-col-at-perminor': 'ConstraintVanishesAtA',
+    '4-0-col-at-roots': [2, 4, '3'],
+    '4-0-block-default-one': [1, 1, '1'],
+    '4-0-block-default-entry': 'ConstraintVanishesAtA',
+    '4-0-block-default-perminor': 'ConstraintVanishesAtA',
+    '4-0-block-default-roots': [1, 1, '3'],
+    '4-0-block-at-one': 'IndexOutOfRange',
+    '4-0-block-at-entry': 'ConstraintVanishesAtA',
+    '4-0-block-at-perminor': 'ConstraintVanishesAtA',
+    '4-0-sampled-default-one': [1, 1, '1'],
+    '4-0-sampled-default-entry': 'ConstraintVanishesAtA',
+    '4-0-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '4-0-sampled-default-roots': [1, 1, '3'],
+    '4-0-sampled-at-one': 'IndexOutOfRange',
+    '4-0-sampled-at-entry': 'ConstraintVanishesAtA',
+    '4-0-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '4-1-row-default-one': [1, 2, '1'],
+    '4-1-row-default-entry': [1, 2, '1'],
+    '4-1-row-default-perminor': 'ConstraintVanishesAtA',
+    '4-1-row-default-roots': [1, 2, '3'],
+    '4-1-row-at-one': [1, 3, '1'],
+    '4-1-row-at-entry': [1, 3, '1'],
+    '4-1-row-at-perminor': 'ConstraintVanishesAtA',
+    '4-1-row-at-roots': [1, 3, '3'],
+    '4-1-col-default-one': [2, 2, '1'],
+    '4-1-col-default-entry': [2, 2, '1'],
+    '4-1-col-default-perminor': 'ConstraintVanishesAtA',
+    '4-1-col-default-roots': [2, 2, '3'],
+    '4-1-col-at-one': 'IndexOutOfRange',
+    '4-1-col-at-entry': 'IndexOutOfRange',
+    '4-1-col-at-perminor': 'IndexOutOfRange',
+    '4-1-block-default-one': [2, 1, '1'],
+    '4-1-block-default-entry': [2, 1, '1'],
+    '4-1-block-default-perminor': 'ConstraintVanishesAtA',
+    '4-1-block-default-roots': [2, 1, '3'],
+    '4-1-block-at-one': [4, 4, '1'],
+    '4-1-block-at-entry': [4, 4, '1'],
+    '4-1-block-at-perminor': 'ConstraintVanishesAtA',
+    '4-1-block-at-roots': [4, 4, '3'],
+    '4-1-sampled-default-one': [2, 1, '1'],
+    '4-1-sampled-default-entry': [2, 1, '1'],
+    '4-1-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '4-1-sampled-default-roots': [2, 1, '3'],
+    '4-1-sampled-at-one': [2, 1, '1'],
+    '4-1-sampled-at-entry': [2, 1, '1'],
+    '4-1-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '4-1-sampled-at-roots': [2, 1, '3'],
+    '4-2-row-default-one': [3, 3, '1'],
+    '4-2-row-default-entry': [3, 3, '1'],
+    '4-2-row-default-perminor': 'ConstraintVanishesAtA',
+    '4-2-row-default-roots': [3, 3, '3'],
+    '4-2-row-at-one': 'PositionInsideWitness',
+    '4-2-row-at-entry': 'PositionInsideWitness',
+    '4-2-row-at-perminor': 'ConstraintVanishesAtA',
+    '4-2-row-at-roots': 'PositionInsideWitness',
+    '4-2-col-default-one': [1, 2, '1'],
+    '4-2-col-default-entry': [1, 2, '1'],
+    '4-2-col-default-perminor': 'ConstraintVanishesAtA',
+    '4-2-col-default-roots': [1, 2, '3'],
+    '4-2-col-at-one': [4, 4, '1'],
+    '4-2-col-at-entry': [4, 4, '1'],
+    '4-2-col-at-perminor': [4, 4, '1'],
+    '4-2-col-at-roots': [4, 4, '3'],
+    '4-2-block-default-one': [2, 1, '1'],
+    '4-2-block-default-entry': [2, 1, '1'],
+    '4-2-block-default-perminor': 'ConstraintVanishesAtA',
+    '4-2-block-default-roots': [2, 1, '3'],
+    '4-2-block-at-one': 'PositionInsideWitness',
+    '4-2-block-at-entry': 'PositionInsideWitness',
+    '4-2-block-at-perminor': 'ConstraintVanishesAtA',
+    '4-2-block-at-roots': 'PositionInsideWitness',
+    '4-2-sampled-default-one': [3, 2, '1'],
+    '4-2-sampled-default-entry': [3, 2, '1'],
+    '4-2-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '4-2-sampled-default-roots': [3, 2, '3'],
+    '4-2-sampled-at-one': 'IndexOutOfRange',
+    '4-2-sampled-at-entry': 'IndexOutOfRange',
+    '4-2-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '4-3-row-default-one': [2, 4, '1'],
+    '4-3-row-default-entry': [2, 4, '1'],
+    '4-3-row-default-perminor': 'ConstraintVanishesAtA',
+    '4-3-row-default-roots': [2, 4, '3'],
+    '4-3-row-at-one': 'PositionInsideWitness',
+    '4-3-row-at-entry': 'PositionInsideWitness',
+    '4-3-row-at-perminor': 'ConstraintVanishesAtA',
+    '4-3-row-at-roots': 'PositionInsideWitness',
+    '4-3-col-default-one': [4, 1, '1'],
+    '4-3-col-default-entry': [4, 1, '1'],
+    '4-3-col-default-perminor': [4, 1, '1'],
+    '4-3-col-default-roots': [4, 1, '3'],
+    '4-3-col-at-one': 'PositionInsideWitness',
+    '4-3-col-at-entry': 'PositionInsideWitness',
+    '4-3-col-at-perminor': 'PositionInsideWitness',
+    '4-3-col-at-roots': 'PositionInsideWitness',
+    '4-3-block-default-one': [3, 1, '1'],
+    '4-3-block-default-entry': [3, 1, '1'],
+    '4-3-block-default-perminor': 'ConstraintVanishesAtA',
+    '4-3-block-default-roots': [3, 1, '3'],
+    '4-3-block-at-one': [3, 3, '1'],
+    '4-3-block-at-entry': [3, 3, '1'],
+    '4-3-block-at-perminor': 'ConstraintVanishesAtA',
+    '4-3-block-at-roots': [3, 3, '3'],
+    '4-3-sampled-default-one': [4, 3, '1'],
+    '4-3-sampled-default-entry': [4, 3, '1'],
+    '4-3-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '4-3-sampled-default-roots': [4, 3, '3'],
+    '4-3-sampled-at-one': 'PositionInsideWitness',
+    '4-3-sampled-at-entry': 'PositionInsideWitness',
+    '4-3-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '4-3-sampled-at-roots': 'PositionInsideWitness',
+    '5-0-row-default-one': [1, 1, '1'],
+    '5-0-row-default-entry': 'ConstraintVanishesAtA',
+    '5-0-row-default-perminor': 'ConstraintVanishesAtA',
+    '5-0-row-default-roots': [1, 1, '3'],
+    '5-0-row-at-one': [5, 4, '1'],
+    '5-0-row-at-entry': 'ConstraintVanishesAtA',
+    '5-0-row-at-perminor': 'ConstraintVanishesAtA',
+    '5-0-row-at-roots': [5, 4, '3'],
+    '5-0-col-default-one': [1, 1, '1'],
+    '5-0-col-default-entry': 'ConstraintVanishesAtA',
+    '5-0-col-default-perminor': 'ConstraintVanishesAtA',
+    '5-0-col-default-roots': [1, 1, '3'],
+    '5-0-col-at-one': [1, 4, '1'],
+    '5-0-col-at-entry': 'ConstraintVanishesAtA',
+    '5-0-col-at-perminor': 'ConstraintVanishesAtA',
+    '5-0-col-at-roots': [1, 4, '3'],
+    '5-0-block-default-one': [1, 1, '1'],
+    '5-0-block-default-entry': 'ConstraintVanishesAtA',
+    '5-0-block-default-perminor': 'ConstraintVanishesAtA',
+    '5-0-block-default-roots': [1, 1, '3'],
+    '5-0-block-at-one': 'IndexOutOfRange',
+    '5-0-block-at-entry': 'ConstraintVanishesAtA',
+    '5-0-block-at-perminor': 'ConstraintVanishesAtA',
+    '5-0-sampled-default-one': [1, 1, '1'],
+    '5-0-sampled-default-entry': 'ConstraintVanishesAtA',
+    '5-0-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '5-0-sampled-default-roots': [1, 1, '3'],
+    '5-0-sampled-at-one': [1, 3, '1'],
+    '5-0-sampled-at-entry': 'ConstraintVanishesAtA',
+    '5-0-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '5-0-sampled-at-roots': [1, 3, '3'],
+    '5-1-row-default-one': [2, 1, '1'],
+    '5-1-row-default-entry': [2, 1, '1'],
+    '5-1-row-default-perminor': 'ConstraintVanishesAtA',
+    '5-1-row-default-roots': [2, 1, '3'],
+    '5-1-row-at-one': 'IndexOutOfRange',
+    '5-1-row-at-entry': 'IndexOutOfRange',
+    '5-1-row-at-perminor': 'IndexOutOfRange',
+    '5-1-col-default-one': [2, 1, '1'],
+    '5-1-col-default-entry': [2, 1, '1'],
+    '5-1-col-default-perminor': 'ConstraintVanishesAtA',
+    '5-1-col-default-roots': [2, 1, '3'],
+    '5-1-col-at-one': [4, 5, '1'],
+    '5-1-col-at-entry': [4, 5, '1'],
+    '5-1-col-at-perminor': 'ConstraintVanishesAtA',
+    '5-1-col-at-roots': [4, 5, '3'],
+    '5-1-block-default-one': [1, 1, '1'],
+    '5-1-block-default-entry': 'ConstraintVanishesAtA',
+    '5-1-block-default-perminor': 'ConstraintVanishesAtA',
+    '5-1-block-default-roots': [1, 1, '3'],
+    '5-1-block-at-one': [1, 2, '1'],
+    '5-1-block-at-entry': 'ConstraintVanishesAtA',
+    '5-1-block-at-perminor': 'ConstraintVanishesAtA',
+    '5-1-block-at-roots': [1, 2, '3'],
+    '5-1-sampled-default-one': [2, 2, '1'],
+    '5-1-sampled-default-entry': [2, 2, '1'],
+    '5-1-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '5-1-sampled-default-roots': [2, 2, '3'],
+    '5-1-sampled-at-one': [5, 5, '1'],
+    '5-1-sampled-at-entry': [5, 5, '1'],
+    '5-1-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '5-1-sampled-at-roots': [5, 5, '3'],
+    '5-2-row-default-one': [1, 3, '1'],
+    '5-2-row-default-entry': [1, 3, '1'],
+    '5-2-row-default-perminor': 'ConstraintVanishesAtA',
+    '5-2-row-default-roots': [1, 3, '3'],
+    '5-2-row-at-one': [1, 3, '1'],
+    '5-2-row-at-entry': [1, 3, '1'],
+    '5-2-row-at-perminor': 'ConstraintVanishesAtA',
+    '5-2-row-at-roots': [1, 3, '3'],
+    '5-2-col-default-one': [3, 1, '1'],
+    '5-2-col-default-entry': [3, 1, '1'],
+    '5-2-col-default-perminor': 'ConstraintVanishesAtA',
+    '5-2-col-default-roots': [3, 1, '3'],
+    '5-2-col-at-one': [3, 3, '1'],
+    '5-2-col-at-entry': [3, 3, '1'],
+    '5-2-col-at-perminor': 'ConstraintVanishesAtA',
+    '5-2-col-at-roots': [3, 3, '3'],
+    '5-2-block-default-one': [2, 2, '1'],
+    '5-2-block-default-entry': [2, 2, '1'],
+    '5-2-block-default-perminor': 'ConstraintVanishesAtA',
+    '5-2-block-default-roots': [2, 2, '3'],
+    '5-2-block-at-one': [3, 2, '1'],
+    '5-2-block-at-entry': [3, 2, '1'],
+    '5-2-block-at-perminor': 'ConstraintVanishesAtA',
+    '5-2-block-at-roots': [3, 2, '3'],
+    '5-2-sampled-default-one': [2, 3, '1'],
+    '5-2-sampled-default-entry': [2, 3, '1'],
+    '5-2-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '5-2-sampled-default-roots': [2, 3, '3'],
+    '5-2-sampled-at-one': 'IndexOutOfRange',
+    '5-2-sampled-at-entry': 'IndexOutOfRange',
+    '5-2-sampled-at-perminor': 'IndexOutOfRange',
+    '5-3-row-default-one': [3, 4, '1'],
+    '5-3-row-default-entry': [3, 4, '1'],
+    '5-3-row-default-perminor': 'ConstraintVanishesAtA',
+    '5-3-row-default-roots': [3, 4, '3'],
+    '5-3-row-at-one': 'PositionInsideWitness',
+    '5-3-row-at-entry': 'PositionInsideWitness',
+    '5-3-row-at-perminor': 'ConstraintVanishesAtA',
+    '5-3-row-at-roots': 'PositionInsideWitness',
+    '5-3-col-default-one': [4, 1, '1'],
+    '5-3-col-default-entry': [4, 1, '1'],
+    '5-3-col-default-perminor': [4, 1, '1'],
+    '5-3-col-default-roots': [4, 1, '3'],
+    '5-3-col-at-one': 'PositionInsideWitness',
+    '5-3-col-at-entry': 'PositionInsideWitness',
+    '5-3-col-at-perminor': 'ConstraintVanishesAtA',
+    '5-3-col-at-roots': 'PositionInsideWitness',
+    '5-3-block-default-one': [2, 2, '1'],
+    '5-3-block-default-entry': [2, 2, '1'],
+    '5-3-block-default-perminor': 'ConstraintVanishesAtA',
+    '5-3-block-default-roots': [2, 2, '3'],
+    '5-3-block-at-one': 'PositionInsideWitness',
+    '5-3-block-at-entry': 'PositionInsideWitness',
+    '5-3-block-at-perminor': 'ConstraintVanishesAtA',
+    '5-3-block-at-roots': 'PositionInsideWitness',
+    '5-3-sampled-default-one': [3, 4, '1'],
+    '5-3-sampled-default-entry': [3, 4, '1'],
+    '5-3-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '5-3-sampled-default-roots': [3, 4, '3'],
+    '5-3-sampled-at-one': 'PositionInsideWitness',
+    '5-3-sampled-at-entry': 'PositionInsideWitness',
+    '5-3-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '5-3-sampled-at-roots': 'PositionInsideWitness',
+    '5-4-row-default-one': [1, 5, '1'],
+    '5-4-row-default-entry': [1, 5, '1'],
+    '5-4-row-default-perminor': 'ConstraintVanishesAtA',
+    '5-4-row-default-roots': [1, 5, '3'],
+    '5-4-row-at-one': 'PositionInsideWitness',
+    '5-4-row-at-entry': 'PositionInsideWitness',
+    '5-4-row-at-perminor': 'PositionInsideWitness',
+    '5-4-row-at-roots': 'PositionInsideWitness',
+    '5-4-col-default-one': [5, 1, '1'],
+    '5-4-col-default-entry': [5, 1, '1'],
+    '5-4-col-default-perminor': [5, 1, '1'],
+    '5-4-col-default-roots': [5, 1, '3'],
+    '5-4-col-at-one': 'PositionInsideWitness',
+    '5-4-col-at-entry': 'PositionInsideWitness',
+    '5-4-col-at-perminor': 'PositionInsideWitness',
+    '5-4-col-at-roots': 'PositionInsideWitness',
+    '5-4-block-default-one': [4, 2, '1'],
+    '5-4-block-default-entry': [4, 2, '1'],
+    '5-4-block-default-perminor': 'ConstraintVanishesAtA',
+    '5-4-block-default-roots': [4, 2, '3'],
+    '5-4-block-at-one': 'PositionInsideWitness',
+    '5-4-block-at-entry': 'PositionInsideWitness',
+    '5-4-block-at-perminor': 'ConstraintVanishesAtA',
+    '5-4-block-at-roots': 'PositionInsideWitness',
+    '5-4-sampled-default-one': [3, 5, '-3'],
+    '5-4-sampled-default-entry': [3, 5, '-3'],
+    '5-4-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '5-4-sampled-default-roots': [3, 5, '-1'],
+    '5-4-sampled-at-one': 'PositionInsideWitness',
+    '5-4-sampled-at-entry': 'PositionInsideWitness',
+    '5-4-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '5-4-sampled-at-roots': 'PositionInsideWitness',
+    '6-0-row-default-one': [1, 1, '1'],
+    '6-0-row-default-entry': 'ConstraintVanishesAtA',
+    '6-0-row-default-perminor': 'ConstraintVanishesAtA',
+    '6-0-row-default-roots': [1, 1, '3'],
+    '6-0-row-at-one': [2, 1, '1'],
+    '6-0-row-at-entry': 'ConstraintVanishesAtA',
+    '6-0-row-at-perminor': 'ConstraintVanishesAtA',
+    '6-0-row-at-roots': [2, 1, '3'],
+    '6-0-col-default-one': [1, 1, '1'],
+    '6-0-col-default-entry': 'ConstraintVanishesAtA',
+    '6-0-col-default-perminor': 'ConstraintVanishesAtA',
+    '6-0-col-default-roots': [1, 1, '3'],
+    '6-0-col-at-one': 'IndexOutOfRange',
+    '6-0-col-at-entry': 'ConstraintVanishesAtA',
+    '6-0-col-at-perminor': 'ConstraintVanishesAtA',
+    '6-0-block-default-one': [1, 1, '1'],
+    '6-0-block-default-entry': 'ConstraintVanishesAtA',
+    '6-0-block-default-perminor': 'ConstraintVanishesAtA',
+    '6-0-block-default-roots': [1, 1, '3'],
+    '6-0-block-at-one': [1, 4, '1'],
+    '6-0-block-at-entry': 'ConstraintVanishesAtA',
+    '6-0-block-at-perminor': 'ConstraintVanishesAtA',
+    '6-0-block-at-roots': [1, 4, '3'],
+    '6-0-sampled-default-one': [1, 1, '1'],
+    '6-0-sampled-default-entry': 'ConstraintVanishesAtA',
+    '6-0-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '6-0-sampled-default-roots': [1, 1, '3'],
+    '6-0-sampled-at-one': [4, 6, '1'],
+    '6-0-sampled-at-entry': 'ConstraintVanishesAtA',
+    '6-0-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '6-0-sampled-at-roots': [4, 6, '3'],
+    '6-1-row-default-one': [1, 2, '1'],
+    '6-1-row-default-entry': [1, 2, '1'],
+    '6-1-row-default-perminor': 'ConstraintVanishesAtA',
+    '6-1-row-default-roots': [1, 2, '3'],
+    '6-1-row-at-one': [1, 4, '1'],
+    '6-1-row-at-entry': [1, 4, '1'],
+    '6-1-row-at-perminor': 'ConstraintVanishesAtA',
+    '6-1-row-at-roots': [1, 4, '3'],
+    '6-1-col-default-one': [2, 2, '1'],
+    '6-1-col-default-entry': [2, 2, '1'],
+    '6-1-col-default-perminor': 'ConstraintVanishesAtA',
+    '6-1-col-default-roots': [2, 2, '3'],
+    '6-1-col-at-one': 'IndexOutOfRange',
+    '6-1-col-at-entry': 'IndexOutOfRange',
+    '6-1-col-at-perminor': 'ConstraintVanishesAtA',
+    '6-1-block-default-one': [1, 1, '1'],
+    '6-1-block-default-entry': [1, 1, '1'],
+    '6-1-block-default-perminor': 'ConstraintVanishesAtA',
+    '6-1-block-default-roots': [1, 1, '3'],
+    '6-1-block-at-one': 'PositionInsideWitness',
+    '6-1-block-at-entry': 'PositionInsideWitness',
+    '6-1-block-at-perminor': 'ConstraintVanishesAtA',
+    '6-1-block-at-roots': 'PositionInsideWitness',
+    '6-1-sampled-default-one': [1, 2, '1'],
+    '6-1-sampled-default-entry': [1, 2, '1'],
+    '6-1-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '6-1-sampled-default-roots': [1, 2, '3'],
+    '6-1-sampled-at-one': [1, 2, '1'],
+    '6-1-sampled-at-entry': [1, 2, '1'],
+    '6-1-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '6-1-sampled-at-roots': [1, 2, '3'],
+    '6-2-row-default-one': [3, 3, '1'],
+    '6-2-row-default-entry': [3, 3, '1'],
+    '6-2-row-default-perminor': 'ConstraintVanishesAtA',
+    '6-2-row-default-roots': [3, 3, '3'],
+    '6-2-row-at-one': 'PositionInsideWitness',
+    '6-2-row-at-entry': 'PositionInsideWitness',
+    '6-2-row-at-perminor': 'PositionInsideWitness',
+    '6-2-row-at-roots': 'PositionInsideWitness',
+    '6-2-col-default-one': [3, 1, '1'],
+    '6-2-col-default-entry': [3, 1, '1'],
+    '6-2-col-default-perminor': 'ConstraintVanishesAtA',
+    '6-2-col-default-roots': [3, 1, '3'],
+    '6-2-col-at-one': 'PositionInsideWitness',
+    '6-2-col-at-entry': 'PositionInsideWitness',
+    '6-2-col-at-perminor': 'ConstraintVanishesAtA',
+    '6-2-col-at-roots': 'PositionInsideWitness',
+    '6-2-block-default-one': [1, 3, '1'],
+    '6-2-block-default-entry': [1, 3, '1'],
+    '6-2-block-default-perminor': 'ConstraintVanishesAtA',
+    '6-2-block-default-roots': [1, 3, '3'],
+    '6-2-block-at-one': 'PositionInsideWitness',
+    '6-2-block-at-entry': 'PositionInsideWitness',
+    '6-2-block-at-perminor': 'ConstraintVanishesAtA',
+    '6-2-block-at-roots': 'PositionInsideWitness',
+    '6-2-sampled-default-one': [2, 1, '1'],
+    '6-2-sampled-default-entry': [2, 1, '1'],
+    '6-2-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '6-2-sampled-default-roots': [2, 1, '3'],
+    '6-2-sampled-at-one': 'PositionInsideWitness',
+    '6-2-sampled-at-entry': 'PositionInsideWitness',
+    '6-2-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '6-2-sampled-at-roots': 'PositionInsideWitness',
+    '6-3-row-default-one': [1, 4, '1'],
+    '6-3-row-default-entry': [1, 4, '1'],
+    '6-3-row-default-perminor': 'ConstraintVanishesAtA',
+    '6-3-row-default-roots': [1, 4, '3'],
+    '6-3-row-at-one': 'PositionInsideWitness',
+    '6-3-row-at-entry': 'PositionInsideWitness',
+    '6-3-row-at-perminor': 'ConstraintVanishesAtA',
+    '6-3-row-at-roots': 'PositionInsideWitness',
+    '6-3-col-default-one': [4, 1, '1'],
+    '6-3-col-default-entry': [4, 1, '1'],
+    '6-3-col-default-perminor': [4, 1, '1'],
+    '6-3-col-default-roots': [4, 1, '3'],
+    '6-3-col-at-one': 'PositionInsideWitness',
+    '6-3-col-at-entry': 'PositionInsideWitness',
+    '6-3-col-at-perminor': 'ConstraintVanishesAtA',
+    '6-3-col-at-roots': 'PositionInsideWitness',
+    '6-3-block-default-one': [1, 4, '1'],
+    '6-3-block-default-entry': [1, 4, '1'],
+    '6-3-block-default-perminor': 'ConstraintVanishesAtA',
+    '6-3-block-default-roots': [1, 4, '3'],
+    '6-3-block-at-one': 'PositionInsideWitness',
+    '6-3-block-at-entry': 'PositionInsideWitness',
+    '6-3-block-at-perminor': 'ConstraintVanishesAtA',
+    '6-3-block-at-roots': 'PositionInsideWitness',
+    '6-3-sampled-default-one': [1, 4, '1'],
+    '6-3-sampled-default-entry': [1, 4, '1'],
+    '6-3-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '6-3-sampled-default-roots': [1, 4, '3'],
+    '6-3-sampled-at-one': 'PositionInsideWitness',
+    '6-3-sampled-at-entry': 'PositionInsideWitness',
+    '6-3-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '6-3-sampled-at-roots': 'PositionInsideWitness',
+    '6-4-row-default-one': [3, 5, '1'],
+    '6-4-row-default-entry': [3, 5, '1'],
+    '6-4-row-default-perminor': 'ConstraintVanishesAtA',
+    '6-4-row-default-roots': [3, 5, '3'],
+    '6-4-row-at-one': 'PositionInsideWitness',
+    '6-4-row-at-entry': 'PositionInsideWitness',
+    '6-4-row-at-perminor': 'ConstraintVanishesAtA',
+    '6-4-row-at-roots': 'PositionInsideWitness',
+    '6-4-col-default-one': [5, 1, '1'],
+    '6-4-col-default-entry': [5, 1, '1'],
+    '6-4-col-default-perminor': [5, 1, '1'],
+    '6-4-col-default-roots': [5, 1, '3'],
+    '6-4-col-at-one': 'PositionInsideWitness',
+    '6-4-col-at-entry': 'PositionInsideWitness',
+    '6-4-col-at-perminor': 'ConstraintVanishesAtA',
+    '6-4-col-at-roots': 'PositionInsideWitness',
+    '6-4-block-default-one': [1, 1, '1'],
+    '6-4-block-default-entry': [1, 1, '1'],
+    '6-4-block-default-perminor': 'ConstraintVanishesAtA',
+    '6-4-block-default-roots': [1, 1, '3'],
+    '6-4-block-at-one': [4, 5, '1'],
+    '6-4-block-at-entry': [4, 5, '1'],
+    '6-4-block-at-perminor': 'ConstraintVanishesAtA',
+    '6-4-block-at-roots': [4, 5, '3'],
+    '6-4-sampled-default-one': [3, 4, '13'],
+    '6-4-sampled-default-entry': [3, 4, '13'],
+    '6-4-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '6-4-sampled-default-roots': [3, 4, '15'],
+    '6-4-sampled-at-one': 'PositionInsideWitness',
+    '6-4-sampled-at-entry': 'PositionInsideWitness',
+    '6-4-sampled-at-perminor': 'ConstraintVanishesAtA',
+    '6-4-sampled-at-roots': 'PositionInsideWitness',
+    '6-5-row-default-one': [4, 6, '1'],
+    '6-5-row-default-entry': [4, 6, '1'],
+    '6-5-row-default-perminor': 'ConstraintVanishesAtA',
+    '6-5-row-default-roots': [4, 6, '3'],
+    '6-5-row-at-one': 'PositionInsideWitness',
+    '6-5-row-at-entry': 'PositionInsideWitness',
+    '6-5-row-at-perminor': 'ConstraintVanishesAtA',
+    '6-5-row-at-roots': 'PositionInsideWitness',
+    '6-5-col-default-one': [6, 1, '1'],
+    '6-5-col-default-entry': [6, 1, '1'],
+    '6-5-col-default-perminor': 'ConstraintVanishesAtA',
+    '6-5-col-default-roots': [6, 1, '3'],
+    '6-5-col-at-one': 'PositionInsideWitness',
+    '6-5-col-at-entry': 'PositionInsideWitness',
+    '6-5-col-at-perminor': 'PositionInsideWitness',
+    '6-5-col-at-roots': 'PositionInsideWitness',
+    '6-5-block-default-one': [5, 5, '1'],
+    '6-5-block-default-entry': [5, 5, '1'],
+    '6-5-block-default-perminor': 'ConstraintVanishesAtA',
+    '6-5-block-default-roots': [5, 5, '3'],
+    '6-5-block-at-one': 'PositionInsideWitness',
+    '6-5-block-at-entry': 'PositionInsideWitness',
+    '6-5-block-at-perminor': 'ConstraintVanishesAtA',
+    '6-5-block-at-roots': 'PositionInsideWitness',
+    '6-5-sampled-default-one': [3, 6, '1'],
+    '6-5-sampled-default-entry': [3, 6, '1'],
+    '6-5-sampled-default-perminor': 'ConstraintVanishesAtA',
+    '6-5-sampled-default-roots': [3, 6, '3'],
+    '6-5-sampled-at-one': 'PositionInsideWitness',
+    '6-5-sampled-at-entry': 'PositionInsideWitness',
+    '6-5-sampled-at-perminor': 'PositionInsideWitness',
+    '6-5-sampled-at-roots': 'PositionInsideWitness',
+}
+
+
+LIFT_CASES = {name: (rows, constraint, position) for name, rows, constraint, position in lift_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_PINNED))
+def test_pinned_lift(name):
+    assert lift_record(*LIFT_CASES[name]) == LIFT_PINNED[name]

@@ -19,7 +19,7 @@ from permrank import (
     zero_matrix,
 )
 from permrank.errors import InvalidRange, NotSquare, TooLarge
-from permrank.sampling import random_matrix
+from permrank.sampling import random_matrix, sample_bounded_prk
 
 from oracle import (
     cancelling_matrices,
@@ -158,6 +158,28 @@ class TestPrk:
         w = prk(mat(entries, Q))
         assert (w.rank, w.row_set, w.col_set) == (4, rows, cols)
         assert w.per_value == per_naive(mat(block, Q)) != 0
+
+    @pytest.mark.parametrize("p, k", [(5, 4), (7, 6)])
+    def test_column_supported_16x16(self, p, k):
+        # fewer than m nonzero columns: every size above k ends before any walk
+        rng = random.Random(f"columns:16:{p}:{k}")
+        support = sorted(rng.sample(range(16), k))
+        entries = [[rng.randrange(1, p) if j in support else 0 for j in range(16)] for _ in range(16)]
+        a = mat(entries, PrimeField(p))
+        w = prk(a)
+        assert (w.rank, w.col_set) == (k, tuple(j + 1 for j in support))
+        assert w.per_value == per_naive(a.submatrix(w.row_set, w.col_set)) != 0
+        assert prk(a.transpose()).rank == k
+        assert prk_decide_leq(a, k) and not prk_decide_leq(a, k - 1)
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    def test_rank_is_transpose_invariant(self, field_name):
+        field = FIELDS[field_name]
+        rng = random.Random(f"transpose:{field_name}")
+        for trial in range(40):
+            n = 2 + trial % 5
+            a = sample_bounded_prk(rng, n, rng.randint(0, n - 1), field)
+            assert prk(a).rank == prk(a.transpose()).rank
 
     def test_monotonicity_under_submatrices(self, F3):
         rng = random.Random(5)
