@@ -15,17 +15,38 @@ from fractions import Fraction
 from .errors import DivisionByZero, FieldMismatch, InvalidField, InvalidRange
 
 
+#: Miller-Rabin with the first 13 primes as bases is exact below psi_13
+#: (Sorenson and Webster, Math. Comp. 86, 2017); moduli at or above it are refused.
+MODULUS_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test (inputs here are tiny)."""
+    """Deterministic Miller-Rabin primality test for ``p < MODULUS_BOUND``.
+
+    Raises :class:`InvalidField` at or above the bound, where the 13 bases
+    no longer decide primality.
+    """
+    if p >= MODULUS_BOUND:
+        raise InvalidField(f"modulus {p} is at or above the supported bound {MODULUS_BOUND}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

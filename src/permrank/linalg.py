@@ -57,10 +57,12 @@ def rank(vectors, field: Field) -> int:
 
 
 def intersection(u_vectors, v_vectors, field: Field):
-    """Basis of the intersection of two row spaces (Zassenhaus block trick).
+    """Reduced basis of the intersection of two row spaces (Zassenhaus).
 
-    Rows ``[u | u]`` and ``[v | 0]`` are reduced together; reduced rows whose
-    left half vanished carry an intersection vector in their right half.
+    Rows ``[u | u]`` and ``[v | 0]`` are reduced together.  The right halves
+    of the reduced rows whose left half vanished (pivot in the right half)
+    are already the reduced row-echelon form of the intersection, and depend
+    only on the two row spaces, not on the spanning sets given.
     """
     if not u_vectors or not v_vectors:
         return []
@@ -68,11 +70,5 @@ def intersection(u_vectors, v_vectors, field: Field):
     zero = field.zero
     block = [list(u) + list(u) for u in u_vectors]
     block += [list(v) + [zero] * width for v in v_vectors]
-    reduced, _ = rref(block, field)
-    out = []
-    for row in reduced:
-        if all(v == zero for v in row[:width]):
-            right = row[width:]
-            if any(v != zero for v in right):
-                out.append(right)
-    return rref(out, field)[0]
+    reduced, pivots = rref(block, field)
+    return [row[width:] for row, col in zip(reduced, pivots) if col >= width]

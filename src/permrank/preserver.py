@@ -284,19 +284,19 @@ def decompose(tmap: LinearMap, k: int) -> CanonicalPreserver:
     scaling = {}
     for (_, _), (a, b, v) in images.items():
         scaling[(a, b)] = v
-    mul, sub = field.mul, field.sub
-    for i, m in combinations(range(1, n + 1), 2):
-        for j, l in combinations(range(1, n + 1), 2):
-            minor = sub(
-                mul(scaling[(i, j)], scaling[(m, l)]),
-                mul(scaling[(i, l)], scaling[(m, j)]),
-            )
-            if minor != zero:
+    mul = field.mul
+    # All entries are nonzero, so the scaling has rank one exactly when every
+    # row is proportional to row 1; in row-major order the first failing
+    # (1,a) x (1,b) minor is also the first nonzero minor in lexicographic order.
+    lead = scaling[(1, 1)]
+    for a in range(2, n + 1):
+        for b in range(2, n + 1):
+            if mul(scaling[(a, b)], lead) != mul(scaling[(a, 1)], scaling[(1, b)]):
                 raise HadamardNotRankOne(
-                    f"scaling minor on rows ({i},{m}) x columns ({j},{l}) is nonzero"
+                    f"scaling minor on rows (1,{a}) x columns (1,{b}) is nonzero"
                 )
 
-    lead_inv = field.inv(scaling[(1, 1)])
+    lead_inv = field.inv(lead)
     d1 = tuple(Scalar(mul(scaling[(a, 1)], lead_inv), field) for a in range(1, n + 1))
     d2 = tuple(Scalar(scaling[(1, b)], field) for b in range(1, n + 1))
     result = CanonicalPreserver(
@@ -510,7 +510,7 @@ def map_subspace(tmap: LinearMap, v: SubspaceBasis) -> SubspaceBasis:
     if not tmap.is_bijective():
         raise NotBijectiveMap("subspace images are only taken under bijective maps")
     mats = [tmap.apply(b) for b in v.basis]
-    return SubspaceBasis(v.n, v.field, mats, _checked=True)
+    return SubspaceBasis(v.n, v.field, mats)
 
 
 # -- JSON ---------------------------------------------------------------------

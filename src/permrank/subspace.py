@@ -1,8 +1,10 @@
 """Linear subspaces of the n x n matrix space.
 
-Subspaces are represented by explicit bases of matrices; equality,
-intersection, and membership go through reduced row-echelon form of the
-row-major vectorized bases, which is canonical.  The module also classifies
+Subspaces are represented by explicit bases of matrices.  Each
+:class:`SubspaceBasis` reduces its row-major vectorized basis once, when it is
+built, on every construction path: that one reduction checks independence,
+and its reduced rows, a canonical form of the subspace, serve equality,
+intersection and membership.  The module also classifies
 subspaces of maximal dimension inside a bounded-permanental-rank set: for
 n >= 3 those are exactly the row-supported and column-supported spaces, and
 :func:`classify_maximal` recognizes them.  "Maximal" means "of maximal
@@ -52,37 +54,35 @@ def _check_members(n: int, field: Field, mats):
 
 
 class SubspaceBasis:
-    """A subspace of ``Mat_n`` given by a linearly independent basis."""
+    """A subspace of ``Mat_n`` given by a linearly independent basis.
+
+    Every construction reduces the vectorized basis once: that checks
+    independence, and the reduced rows serve every later comparison.
+    """
 
     __slots__ = ("n", "field", "basis", "_reduced")
 
-    def __init__(self, n: int, field: Field, basis, *, _checked: bool = False):
+    def __init__(self, n: int, field: Field, basis):
         basis = tuple(basis)
         _check_members(n, field, basis)
         self.n = n
         self.field = field
         self.basis = basis
-        self._reduced = None
-        if not _checked and basis:
-            if linalg.rank(self.vectorized(), field) != len(basis):
-                raise DependentBasis("basis matrices are linearly dependent")
+        self._reduced, _ = linalg.rref([m.data for m in basis], field)
+        if len(self._reduced) != len(basis):
+            raise DependentBasis("basis matrices are linearly dependent")
 
     @classmethod
     def span(cls, n: int, field: Field, mats) -> "SubspaceBasis":
         """Subspace spanned by arbitrary matrices (dependencies dropped)."""
         mats = tuple(mats)
         _check_members(n, field, mats)
-        rows = [list(m.data) for m in mats]
-        reduced, _ = linalg.rref(rows, field)
-        basis = [Matrix(n, n, row, field) for row in reduced]
-        return cls(n, field, basis, _checked=True)
+        reduced, _ = linalg.rref([m.data for m in mats], field)
+        return cls(n, field, [Matrix(n, n, row, field) for row in reduced])
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def vectorized(self) -> list:
-        return [list(m.data) for m in self.basis]
 
     def combination(self, coeffs) -> Matrix:
         """The member ``sum(c * b)`` for raw field values ``coeffs``, one per
@@ -99,8 +99,6 @@ class SubspaceBasis:
         return Matrix(self.n, self.n, acc, field)
 
     def reduced_rows(self) -> list:
-        if self._reduced is None:
-            self._reduced = linalg.rref(self.vectorized(), self.field)[0]
         return self._reduced
 
     def _check_compatible(self, other: "SubspaceBasis"):
@@ -122,9 +120,9 @@ class SubspaceBasis:
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._check_compatible(other)
-        rows = linalg.intersection(self.vectorized(), other.vectorized(), self.field)
+        rows = linalg.intersection(self._reduced, other._reduced, self.field)
         mats = [Matrix(self.n, self.n, row, self.field) for row in rows]
-        return SubspaceBasis(self.n, self.field, mats, _checked=True)
+        return SubspaceBasis(self.n, self.field, mats)
 
     def __repr__(self):
         return f"SubspaceBasis(n={self.n}, dim={self.dim}, {self.field.name})"
@@ -155,7 +153,7 @@ def canonical_basis(cs: CanonicalSubspace, n: int, field: Field) -> SubspaceBasi
         units = [unit(i, j, n, field) for i in cs.support for j in range(1, n + 1)]
     else:
         units = [unit(i, j, n, field) for i in range(1, n + 1) for j in cs.support]
-    return SubspaceBasis(n, field, units, _checked=True)
+    return SubspaceBasis(n, field, units)
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,8 @@ def classify_maximal(v: SubspaceBasis, k: int) -> CanonicalSubspace | None:
     {prk <= k} needs n >= 3: at n = 2 other planes lie inside {prk <= 1}
     (see the module docstring), and they get ``None`` here.
     The candidate support can be read off the basis, so only two echelon
-    comparisons are ever needed.  Raises :class:`InvalidRange` unless
+    comparisons are ever needed; a canonical basis lists its matrix units in
+    pivot order, so building it reduces without arithmetic.  Raises :class:`InvalidRange` unless
     ``1 <= k <= n-1``.
     """
     n = v.n

@@ -340,6 +340,10 @@ def _matrix_doc(**changes):
         pytest.param(_COMPOSE + ["--d1", "1,1,1", "--sigma1", "1,a,3"], None, id="compose-non-integer-image"),
         pytest.param(["lift", "--constraint", "entry:1"], _matrix_doc(), id="entry-constraint-one-index"),
         pytest.param(["lift", "--i", "1"], _matrix_doc(), id="lift-i-without-j"),
+        # the next prime above the Miller-Rabin bound: refused, where trial division stalled
+        pytest.param(
+            ["per"], _matrix_doc(field="Fp:3317044064679887385962123"), id="modulus-above-bound"
+        ),
         pytest.param(
             ["check-preserver", "--k", "1", "--samples", "-1"], _ID3_MAP, id="negative-samples"
         ),

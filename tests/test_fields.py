@@ -1,10 +1,14 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from permrank import PrimeField, QQ, Rationals, field_from_name
 from permrank.errors import DivisionByZero, FieldMismatch, InvalidField
+from permrank.fields import MODULUS_BOUND, is_prime
 
 
 class TestConstruction:
@@ -39,6 +43,40 @@ class TestConstruction:
             QQ(0.5)
         with pytest.raises(InvalidField):
             PrimeField(3)(1.0)
+
+
+class TestPrimality:
+    def test_agrees_with_sympy_below_ten_to_the_fifth(self):
+        assert [p for p in range(-3, 10**5) if is_prime(p)] == list(sympy.primerange(10**5))
+
+    def test_agrees_with_sympy_on_large_numbers(self):
+        rng = random.Random("is-prime")
+        odd = [rng.randrange(10**5, MODULUS_BOUND) | 1 for _ in range(300)]
+        primes = [sympy.prevprime(x) for x in odd[:100]]
+        for x in odd + primes:
+            assert is_prime(x) == sympy.isprime(x), x
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 .. 23
+        assert not is_prime(n)
+        with pytest.raises(InvalidField):
+            PrimeField(n)
+
+    def test_large_prime_modulus_builds_at_once(self):
+        start = time.process_time()
+        assert PrimeField(10**18 + 3).characteristic == 10**18 + 3
+        assert time.process_time() - start < 0.1
+
+    def test_modulus_bound(self):
+        below = sympy.prevprime(MODULUS_BOUND)
+        assert PrimeField(below).characteristic == below
+        # the bound is itself a strong pseudoprime to all 13 bases
+        for p in (MODULUS_BOUND, sympy.nextprime(MODULUS_BOUND)):
+            with pytest.raises(InvalidField, match="bound"):
+                PrimeField(p)
+            with pytest.raises(InvalidField, match="bound"):
+                field_from_name(f"Fp:{p}")
 
 
 class TestArithmetic:

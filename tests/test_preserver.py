@@ -9,6 +9,7 @@ from permrank import (
     CanonicalSubspace,
     LinearMap,
     Permutation,
+    PrimeField,
     canonical_basis,
     canonical_from_json,
     canonical_to_json,
@@ -227,6 +228,27 @@ class TestDecompose:
         assert t.is_bijective()
         with pytest.raises(HadamardNotRankOne):
             decompose(t, 1)
+
+    @pytest.mark.parametrize(
+        "p,coeffs,k,message",
+        [
+            # rows 1 and 2 proportional: the first nonzero minor is off rows (1,2)
+            (0, [[1, 1, 1], [2, 2, 2], [1, 1, 3]], 1, "rows (1,3) x columns (1,3)"),
+            (5, [[1, 2, 3, 4], [2, 4, 1, 3], [3, 1, 4, 2], [1, 2, 3, 1]], 2, "rows (1,4) x columns (1,4)"),
+        ],
+    )
+    def test_hadamard_names_the_first_nonzero_minor(self, Q, p, coeffs, k, message):
+        # messages recorded with the loop over all C(n,2)^2 minors
+        field = PrimeField(p) if p else Q
+        n = len(coeffs)
+
+        def image(i, j):
+            return unit(i, j, n, field).scale(coeffs[i - 1][j - 1])
+
+        t = LinearMap.from_unit_images(n, field, image)
+        with pytest.raises(HadamardNotRankOne) as info:
+            decompose(t, k)
+        assert str(info.value) == f"scaling minor on {message} is nonzero"
 
     def test_size_and_range_guards(self, Q):
         with pytest.raises(UnsupportedSize):

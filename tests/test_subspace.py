@@ -7,10 +7,13 @@ from permrank import (
     COL,
     ROW,
     CanonicalSubspace,
+    LinearMap,
+    PrimeField,
     SubspaceBasis,
     canonical_basis,
     classify_maximal,
     identity,
+    map_subspace,
     mat,
     prk,
     unit,
@@ -24,7 +27,7 @@ from permrank.errors import (
     InvalidRange,
     ShapeMismatch,
 )
-from permrank.sampling import random_matrix
+from permrank.sampling import random_bijective_map, random_matrix
 from permrank import linalg
 
 
@@ -128,6 +131,62 @@ class TestSubspaceOps:
         e = unit(1, 1, 3, Q)
         with pytest.raises(DependentBasis):
             SubspaceBasis(3, Q, [e, e.scale(2)])
+
+
+class TestReducedForm:
+    def test_every_construction_path_keeps_the_rref_of_its_basis(self, Q, F3, F5):
+        rng = random.Random(29)
+        for field in (Q, F3, F5):
+            for n in (2, 3, 4):
+                gens = [random_matrix(rng, n, field) for _ in range(n)]
+                spanned = SubspaceBasis.span(n, field, gens + [gens[0] + gens[1]])
+                u = SubspaceBasis.span(n, field, gens[:2] + [random_matrix(rng, n, field)])
+                made = [
+                    spanned,
+                    SubspaceBasis(n, field, [gens[0], gens[0] + gens[1]]),
+                    canonical_basis(CanonicalSubspace(COL, (1, n)), n, field),
+                    spanned.intersect(u),
+                    u.intersect(spanned),
+                    map_subspace(LinearMap.transposition(n, field), spanned),
+                ]
+                if n >= 3:
+                    made.append(map_subspace(random_bijective_map(rng, n, field), u))
+                for v in made:
+                    expected = linalg.rref([list(m.data) for m in v.basis], field)[0]
+                    assert v.reduced_rows() == expected
+
+    def test_dependent_input_raises_on_every_size(self, F3):
+        a, b = unit(1, 2, 3, F3), unit(3, 3, 3, F3)
+        for basis in ([a, b, a + b], [zero_matrix(3, F3)], [a, a.scale(2)]):
+            with pytest.raises(DependentBasis):
+                SubspaceBasis(3, F3, basis)
+
+    def test_one_elimination_per_object(self, monkeypatch, F5):
+        calls = []
+        real = linalg.rref
+
+        def counted(vectors, field):
+            calls.append(len(vectors))
+            return real(vectors, field)
+
+        monkeypatch.setattr(linalg, "rref", counted)
+        rng = random.Random(31)
+        v = SubspaceBasis(3, F5, [random_matrix(rng, 3, F5) for _ in range(3)])
+        w = canonical_basis(CanonicalSubspace(ROW, (2,)), 3, F5)
+        assert calls == [3, 3]
+        v.reduced_rows(), v.equals(w), w.equals(v), classify_maximal(v, 1)
+        assert calls == [3, 3]
+        meet = v.intersect(w)
+        assert calls[2:] == [6, meet.dim]
+
+    def test_canonical_bases_reduce_without_arithmetic(self, monkeypatch, F5):
+        def refuse(*_args):
+            raise AssertionError("field arithmetic while reducing a matrix-unit basis")
+
+        for name in ("add", "sub", "mul", "neg", "inv"):
+            monkeypatch.setattr(PrimeField, name, refuse)
+        for orientation in (ROW, COL):
+            assert canonical_basis(CanonicalSubspace(orientation, (1, 3)), 4, F5).dim == 8
 
 
 class TestWithinBound:
