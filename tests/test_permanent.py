@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from permrank import (
     unit,
     zero_matrix,
 )
+from permrank import permanent
 from permrank.errors import InvalidRange, NotSquare, TooLarge
 from permrank.sampling import random_matrix, sample_bounded_prk
 
@@ -95,6 +97,43 @@ class TestPerFast:
         field = QQ if seed % 2 else PrimeField(5)
         m = random_matrix(rng, rng.randint(1, 5), field)
         assert per_fast(m) == per_fast(m.transpose())
+
+
+def laplace_per(rows, p):
+    """per mod p by Laplace expansion along every row in turn, from ``{0: 1}``."""
+    minors = {0: 1}
+    for row in rows:
+        minors = permanent._laplace_step(minors, [(1 << j, v) for j, v in enumerate(row)], p)
+    return minors[(1 << len(rows)) - 1] % p
+
+
+class TestGlynnBlocks:
+    """The NumPy kernel over F_p: one 2^12-step block at n = 13, several above."""
+
+    @pytest.mark.parametrize(
+        "n, p", [(13, 2**31 - 1), (13, 5), (14, 2**31 - 1), (14, 40009), (16, 2**31 - 1), (17, 7), (17, 2**31 - 1)]
+    )
+    def test_matches_laplace_fold(self, n, p):
+        rng = random.Random(f"blocks:{n}:{p}")
+        a = Matrix(n, n, [rng.randrange(p) for _ in range(n * n)], PrimeField(p))
+        assert per_fast(a, max_n=17) == laplace_per(a.raw_rows(), p)
+
+    @pytest.mark.parametrize("n", [13, 14, 16, 17])
+    @pytest.mark.parametrize("p", [40009, 2**31 - 1])
+    def test_all_ones_counts_permutations(self, n, p):
+        assert per_fast(ones(n, PrimeField(p)), max_n=17) == factorial(n) % p
+
+    @pytest.mark.parametrize("block", [4, 64])
+    @pytest.mark.parametrize("p", [3, 2**31 - 1])
+    def test_any_block_size_matches_python_loop(self, block, p, monkeypatch):
+        rng = random.Random(f"block:{block}:{p}")
+        for n in (8, 9, 12):
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            monkeypatch.setattr(permanent, "GLYNN_BLOCK", block)
+            blocked = permanent._per_int(rows, p)
+            monkeypatch.setattr(permanent, "GLYNN_NUMPY_MIN", n + 1)
+            assert blocked == permanent._per_int(rows, p)
+            monkeypatch.undo()
 
 
 class TestPrk:
