@@ -30,8 +30,9 @@ print("zero-weight edges:", zero_edges)
 hat = pr.build_theta_hat(graph)
 print("components of the threshold graph:", len(pr.components(hat)))
 
-# The library re-derives the component structure and cross-checks every
-# closed-form weight against echelon-based intersection dimensions.
+# The library re-derives the component structure.  pr.verify_theta(n, k)
+# (`permrank verify --suite theta`) also checks every closed-form weight
+# against echelon-based intersection dimensions.
 print("\nverification report:", pr.verify_component_structure(6, 3))
 
 # Same-side connectivity comes from stepwise support exchanges; consecutive

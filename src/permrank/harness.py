@@ -36,7 +36,7 @@ from .sampling import (
     random_permutation,
     sample_bounded_prk,
 )
-from .theta import _check_component_structure, _weight_mismatches, build_theta
+from .theta import build_theta, check_component_structure, weight_mismatches
 
 #: The forward suite refuses to enumerate more canonical preservers than this.
 FORWARD_BUDGET = 1 << 16
@@ -227,10 +227,10 @@ def verify_theta(n: int, k: int) -> VerificationReport:
         suite="theta", params={"n": n, "k": k}, mode="exhaustive"
     )
     start = time.monotonic()
-    graph = build_theta(n, k, cross_validate=False)
-    structure = _check_component_structure(graph)
+    graph = build_theta(n, k)
+    structure = check_component_structure(graph)
     report.cases += 1
-    for u, v, w, got in _weight_mismatches(graph):
+    for u, v, w, got in weight_mismatches(graph):
         report.failures.append(
             {
                 "u": graph.vertices[u].label,

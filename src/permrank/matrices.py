@@ -185,22 +185,6 @@ class Permutation:
             raise IndexOutOfRange(f"{i} outside 1..{self.n}")
         return self.images[i - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """``(self . other)(i) = self(other(i))``."""
-        if self.n != other.n:
-            raise ShapeMismatch("composed permutations must share n")
-        return Permutation(self.images[other.images[i] - 1] for i in range(self.n))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
-
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented

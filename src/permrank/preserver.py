@@ -434,8 +434,8 @@ def _search_counterexample(tmap: LinearMap, k: int, *, seed: int, samples: int):
     rng = random.Random(f"preserver-search:{seed}")
     # (a) matrix units (always inside the bounded set for k >= 1)
     units = (unit(i, j, n, field) for i in range(1, n + 1) for j in range(1, n + 1))
-    # (b) the signed probe family, in deterministic order
-    probes = (x for x in probe_family(n, k, field) if prk_decide_leq(x, k))
+    # (b) the signed probe family, in deterministic order (each has prk k)
+    probes = probe_family(n, k, field)
     # (c) members of each supported subspace, pushed through invariance ops
     bases = (
         canonical_basis(CanonicalSubspace(orientation, support), n, field)

@@ -151,19 +151,6 @@ def sample_bounded_prk(rng: random.Random, n: int, k: int, field: Field) -> Matr
             return candidate
 
 
-def random_canonical_preserver(rng: random.Random, n: int, field: Field):
-    """Random tuple (d1, sigma1, flag, sigma2, d2) with nonzero diagonals."""
-    from .preserver import CanonicalPreserver
-
-    return CanonicalPreserver(
-        d1=random_nonsingular_diagonal(rng, n, field),
-        sigma1=random_permutation(rng, n),
-        transpose_flag=bool(rng.randrange(2)),
-        sigma2=random_permutation(rng, n),
-        d2=random_nonsingular_diagonal(rng, n, field),
-    )
-
-
 def random_bijective_map(rng: random.Random, n: int, field: Field, *, max_tries: int = 1000):
     """Rejection-sample an invertible operator on the n x n matrix space."""
     from .preserver import LinearMap

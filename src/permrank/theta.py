@@ -9,11 +9,12 @@ closed form
     row/col cross pair:      k^2
     same orientation:        n * |S /\\ S'|
 
-and can be cross-validated against the subspace module.  Keeping only edges
-of the maximal same-orientation weight ``n*(k-1)`` yields the threshold
-subgraph, whose connected components split into the row side and the column
-side for every (n, k) except (4, 2), where the cross edges also hit the
-threshold and the graph becomes connected.
+and the graph is built from it alone; :func:`weight_mismatches` checks every
+weight against an echelon intersection (``verify --suite theta``).  Keeping
+only edges of the maximal same-orientation weight ``n*(k-1)`` yields the
+threshold subgraph, whose connected components split into the row side and
+the column side for every (n, k) except (4, 2), where the cross edges also
+hit the threshold and the graph becomes connected.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def pair_weight(n: int, u: ThetaVertex, v: ThetaVertex) -> int:
     return n * len(set(u.support) & set(v.support))
 
 
-def build_theta(n: int, k: int, *, cross_validate: bool | None = None) -> ThetaGraph:
+def build_theta(n: int, k: int) -> ThetaGraph:
     """Build the complete weighted graph for parameters ``1 <= k <= n-1``.
 
     The vertices are the row- and column-supported subspaces.  For n >= 3
@@ -94,8 +95,8 @@ def build_theta(n: int, k: int, *, cross_validate: bool | None = None) -> ThetaG
     F_p, {prk <= 1} holds 2(p+1) of them and only 4 are supported.
 
     Vertices are ordered: row supports in lexicographic order, then column
-    supports.  For small ``n`` (by default n <= 4) every weight is
-    cross-validated against an independently computed intersection dimension.
+    supports.  Every weight is :func:`pair_weight`; :func:`weight_mismatches`
+    checks them against echelon intersections.
     """
     if not (1 <= k <= n - 1):
         raise InvalidRange(f"need 1 <= k <= n-1, got k={k}, n={n}")
@@ -105,19 +106,10 @@ def build_theta(n: int, k: int, *, cross_validate: bool | None = None) -> ThetaG
     weights = {}
     for u, v in combinations(range(len(vertices)), 2):
         weights[(u, v)] = pair_weight(n, vertices[u], vertices[v])
-    graph = ThetaGraph(n=n, k=k, vertices=vertices, weights=weights)
-    if cross_validate is None:
-        cross_validate = n <= 4
-    if cross_validate:
-        for u, v, w, got in _weight_mismatches(graph):
-            raise VerificationError(
-                f"weight mismatch at ({vertices[u].label}, "
-                f"{vertices[v].label}): closed form {w}, echelon {got}"
-            )
-    return graph
+    return ThetaGraph(n=n, k=k, vertices=vertices, weights=weights)
 
 
-def _weight_mismatches(graph: ThetaGraph):
+def weight_mismatches(graph: ThetaGraph):
     """Yield ``(u, v, weight, echelon)`` for every edge whose stored weight
     differs from an echelon-based intersection dimension, in edge order."""
     field = PrimeField(3)
@@ -196,10 +188,10 @@ def verify_component_structure(n: int, k: int) -> dict:
     threshold subgraph is connected.  Raises VerificationError on any
     mismatch; a failure would indicate an implementation bug.
     """
-    return _check_component_structure(build_theta(n, k))
+    return check_component_structure(build_theta(n, k))
 
 
-def _check_component_structure(graph: ThetaGraph) -> dict:
+def check_component_structure(graph: ThetaGraph) -> dict:
     """The checks of :func:`verify_component_structure` on a built graph."""
     n, k = graph.n, graph.k
     hat = build_theta_hat(graph)

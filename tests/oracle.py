@@ -7,7 +7,8 @@ through the code paths it is meant to check.
 import random
 from itertools import combinations, permutations
 
-from permrank import Matrix, mat, per_naive
+from permrank import CanonicalPreserver, Matrix, mat, per_naive
+from permrank.sampling import random_nonsingular_diagonal, random_permutation
 
 
 def per_by_definition(m: Matrix):
@@ -94,3 +95,14 @@ def cancelling_matrices(field, n: int, seed):
     supported = [[entry(1) if c in support else 0 for c in range(n)] for _ in range(n)]
     out += [supported, [list(col) for col in zip(*supported)]]
     return [mat(rows, field) for rows in out]
+
+
+def random_canonical_preserver(rng: random.Random, n: int, field):
+    """Random tuple (d1, sigma1, flag, sigma2, d2) with nonzero diagonals."""
+    return CanonicalPreserver(
+        d1=random_nonsingular_diagonal(rng, n, field),
+        sigma1=random_permutation(rng, n),
+        transpose_flag=bool(rng.randrange(2)),
+        sigma2=random_permutation(rng, n),
+        d2=random_nonsingular_diagonal(rng, n, field),
+    )

@@ -31,13 +31,9 @@ from permrank import (
     verify_forward_exhaustive,
     verify_invariance,
 )
-from permrank.sampling import (
-    random_bijective_map,
-    random_canonical_preserver,
-    random_matrix,
-)
+from permrank.sampling import random_bijective_map, random_matrix
 
-from oracle import prk_oracle, witness_is_valid
+from oracle import prk_oracle, random_canonical_preserver, witness_is_valid
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -100,7 +96,7 @@ def test_criterion_04_intersection_weights():
     pairs = 0
     for n in range(2, 7):
         for k in range(1, n):
-            graph = build_theta(n, k, cross_validate=False)
+            graph = build_theta(n, k)
             assert len(graph.vertices) == 2 * comb(n, k)
             bases = [
                 canonical_basis(CanonicalSubspace(v.orientation, v.support), n, F3)

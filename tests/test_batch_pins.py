@@ -23,7 +23,9 @@ from permrank import (
     compose_canonical,
     within_prk_bound,
 )
-from permrank.sampling import random_bijective_map, random_canonical_preserver, random_matrix
+from permrank.sampling import random_bijective_map, random_matrix
+
+from oracle import random_canonical_preserver
 
 
 def preserver_cases():

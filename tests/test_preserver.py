@@ -42,11 +42,12 @@ from permrank.preserver import _search_counterexample
 from permrank.sampling import (
     probe_family,
     random_bijective_map,
-    random_canonical_preserver,
     random_matrix,
     random_scalar,
     sample_bounded_prk,
 )
+
+from oracle import random_canonical_preserver
 
 
 def _cp(field, d1, sigma1, flag, sigma2, d2):
@@ -161,7 +162,7 @@ class TestDecompose:
     def test_transposition(self, Q):
         got = decompose(LinearMap.transposition(3, Q), 2)
         assert got.transpose_flag
-        assert got.sigma1.is_identity and got.sigma2.is_identity
+        assert got.sigma1 == got.sigma2 == Permutation.identity(3)
         assert all(s == Q(1) for s in got.d1 + got.d2)
 
     @pytest.mark.parametrize("field_name", ["F5", "Q"])
@@ -521,3 +522,13 @@ class TestSeededOutputs:
             mat([[0, 0, 0], [1, 2, 1], [1, 1, 2]], F3),
             mat([[0, 0, 0], [2, 0, 2], [0, 1, 0]], F3),
         ]
+
+    def test_probe_family_members_have_prk_k(self, Q, F3, F5):
+        # stage (b) of the search feeds every member unfiltered, as inside
+        # {prk <= k}: the signed block's (k+1)-minor is per([[1, 1], [-1, 1]])
+        # = 0 off characteristic 2, and its k-minors include 1
+        for field in (Q, F3, F5):
+            for n in range(3, 6):
+                for k in range(1, n):
+                    ranks = {prk(x).rank for x in probe_family(n, k, field)}
+                    assert ranks == {k}, (field, n, k, ranks)

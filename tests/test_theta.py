@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import comb
@@ -19,6 +21,7 @@ from permrank import (
     pair_weight,
     to_dot,
     verify_component_structure,
+    verify_theta,
 )
 from permrank.errors import InvalidRange, TooLarge
 from permrank.theta import ThetaVertex
@@ -33,7 +36,7 @@ class TestBuild:
     def test_vertex_count(self):
         for n in range(2, 7):
             for k in range(1, n):
-                g = build_theta(n, k, cross_validate=False)
+                g = build_theta(n, k)
                 assert len(g.vertices) == 2 * comb(n, k)
 
     def test_vertex_order_rows_then_cols_lexicographic(self):
@@ -71,7 +74,7 @@ class TestBuild:
         # independent echelon-based route, all pairs for n <= 4
         for n in (3, 4):
             for k in range(1, n):
-                g = build_theta(n, k, cross_validate=False)
+                g = build_theta(n, k)
                 bases = [
                     canonical_basis(CanonicalSubspace(v.orientation, v.support), n, F3)
                     for v in g.vertices
@@ -84,7 +87,7 @@ class TestBuild:
         # the acceptance suite)
         n = 7
         for k in range(1, n):
-            g = build_theta(n, k, cross_validate=False)
+            g = build_theta(n, k)
             bases = [
                 canonical_basis(CanonicalSubspace(v.orientation, v.support), n, F3)
                 for v in g.vertices
@@ -116,7 +119,7 @@ class TestHatAndComponents:
 
     def test_two_components_generic(self):
         for n, k in ((3, 1), (5, 2), (6, 3)):
-            hat = build_theta_hat(build_theta(n, k, cross_validate=False))
+            hat = build_theta_hat(build_theta(n, k))
             comps = components(hat)
             assert len(comps) == 2
             sides = [{hat.vertices[i].orientation for i in comp} for comp in comps]
@@ -201,7 +204,7 @@ class TestOutput:
 @pytest.mark.parametrize("n", range(2, 8))
 def test_components_match_networkx(n):
     for k in range(1, n):
-        hat = build_theta_hat(build_theta(n, k, cross_validate=False))
+        hat = build_theta_hat(build_theta(n, k))
         got = components(hat)
         graph = networkx.Graph()
         graph.add_nodes_from(range(len(hat.vertices)))
@@ -209,3 +212,59 @@ def test_components_match_networkx(n):
         # sorted tuples, ordered by least vertex (disjoint, so lexicographic order)
         expected = sorted(tuple(sorted(c)) for c in networkx.connected_components(graph))
         assert got == expected, (n, k)
+
+
+#: SHA-256 prefixes of ``graph_json`` and ``to_dot`` of the graph and of its
+#: threshold subgraph, then the ``verify_component_structure`` report,
+#: recorded when ``build_theta`` still carried an optional echelon self-check.
+GRAPH_PINNED = {
+    "n2-k1": "e81a44f9c26b00bc",
+    "n3-k1": "14f40153eac78873",
+    "n3-k2": "909560f8838f5f52",
+    "n4-k1": "b2b1ecb3127d02c3",
+    "n4-k2": "c3d261061fdd8345",
+    "n4-k3": "bdbc2b06de5648ae",
+    "n5-k1": "d0c7d67d382523a7",
+    "n5-k2": "af415b008451b746",
+    "n5-k3": "555bf625628e90be",
+    "n5-k4": "555afa5e86550aed",
+    "n6-k1": "c23c3914c0daaf66",
+    "n6-k2": "2084df1a6dbb67fc",
+    "n6-k3": "4e316304696bd6c8",
+    "n6-k4": "247d7ddd5e314c02",
+    "n6-k5": "43e7f39304f4e819",
+    "n7-k1": "8453d2f63f49558e",
+    "n7-k2": "551af7e0650ada96",
+    "n7-k3": "d2a8755353ae8626",
+    "n7-k4": "1bd681267c9364b1",
+    "n7-k5": "66d9687678e6ae40",
+    "n7-k6": "17c038647974cd70",
+}
+
+#: The same for ``verify_theta(n, k).to_json_dict()``.
+REPORT_PINNED = {
+    "n3-k1": "f374934fcd3fc4a6",
+    "n4-k2": "eaa35dca05a89a23",
+    "n5-k2": "da4625ac5ff00fea",
+    "n5-k3": "eb07505b33d91044",
+    "n6-k2": "f6934f2f795a15c5",
+}
+
+
+def _digest(rec):
+    return hashlib.sha256(json.dumps(rec, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", GRAPH_PINNED)
+def test_graph_outputs_pinned(key):
+    n, k = (int(part[1:]) for part in key.split("-"))
+    graph = build_theta(n, k)
+    hat = build_theta_hat(graph)
+    rec = [graph_json(graph), to_dot(graph), graph_json(hat), to_dot(hat), verify_component_structure(n, k)]
+    assert _digest(rec) == GRAPH_PINNED[key]
+
+
+@pytest.mark.parametrize("key", REPORT_PINNED)
+def test_verify_theta_report_pinned(key):
+    n, k = (int(part[1:]) for part in key.split("-"))
+    assert _digest(verify_theta(n, k).to_json_dict()) == REPORT_PINNED[key]
