@@ -29,7 +29,8 @@ print("identity span verdict:", verdict.kind)
 print("counterexample:", verdict.counterexample)
 
 # Mix the basis with random invertible combinations; classification still
-# recovers the support because echelon forms are canonical.
+# recovers the support, which any basis of the span reveals, and at full
+# dimension the support decides the subspace.
 rng = random.Random(0)
 while True:
     mixed = []

@@ -58,7 +58,7 @@ squash = pr.LinearMap.from_unit_images(3, F3, lambda i, j: pr.unit(1, j, 3, F3))
 print("\nsquash-to-row-1 verdict:", pr.check_equality_variant(squash, 1).kind)
 
 # Random bijective operators are essentially never preservers.
-from permrank.sampling import random_bijective_map
+from permrank.preserver import random_bijective_map
 
 verdict = pr.check_preserves(random_bijective_map(rng, 3, F3), 1, seed=1)
 print("random bijective operator:", verdict.kind)

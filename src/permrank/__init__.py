@@ -64,12 +64,12 @@ from .subspace import (
     SubspaceBasis,
     canonical_basis,
     classify_maximal,
+    maximal_subspaces,
     within_prk_bound,
 )
 from .theta import (
     ThetaGraph,
     ThetaHat,
-    ThetaVertex,
     build_theta,
     build_theta_hat,
     components,

@@ -28,9 +28,9 @@ from .preserver import (
     check_preserves,
     compose_canonical,
     linear_map_to_json,
+    random_bijective_map,
 )
 from .sampling import (
-    random_bijective_map,
     random_matrix,
     random_nonsingular_diagonal,
     random_permutation,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -38,10 +38,10 @@ from .errors import (
     VerificationError,
 )
 from .fields import Field, PrimeField, Scalar, field_from_name
-from .matrices import Matrix, Permutation, matrix_to_json, unit
+from .matrices import Matrix, Permutation, identity as identity_matrix, matrix_to_json, unit
 from .permanent import prk_decide_leq
-from .sampling import probe_family, random_subspace_member, sample_bounded_prk
-from .subspace import COL, ROW, CanonicalSubspace, SubspaceBasis, canonical_basis
+from .sampling import probe_family, random_matrix, random_supported_member, sample_bounded_prk
+from .subspace import SubspaceBasis, maximal_subspaces
 
 PRESERVER = "preserver"
 NOT_PRESERVER = "not_preserver"
@@ -72,9 +72,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n: int, field: Field) -> "LinearMap":
-        from .matrices import identity as ident
-
-        return cls(n, field, ident(n * n, field))
+        return cls(n, field, identity_matrix(n * n, field))
 
     @classmethod
     def transposition(cls, n: int, field: Field) -> "LinearMap":
@@ -127,6 +125,32 @@ class LinearMap:
             self._bijective = linalg.rank(rows, self.field) == self.n * self.n
         return self._bijective
 
+    def unit_preimages(self):
+        """Reduce [T | I] once and record whether T is bijective.
+
+        Returns the first matrix unit ``(i, j)`` outside the image and ``{}``,
+        or ``None`` and the preimage of every unit ``(i, j)`` in row-major
+        order.  Rows whose left half vanished span the left kernel of T, and
+        E_c has no preimage exactly when a kernel row is nonzero at c, so the
+        first unreachable unit is the least pivot in the right half.
+        """
+        n, field = self.n, self.field
+        size = n * n
+        zero, one = field.zero, field.one
+        aug = [
+            row + [one if r == c else zero for c in range(size)]
+            for r, row in enumerate(self.matrix.raw_rows())
+        ]
+        reduced, pivots = linalg.rref(aug, field)
+        c = next((p - size for p in pivots if p >= size), None)
+        self._bijective = c is None
+        if c is not None:
+            return (c // n + 1, c % n + 1), {}
+        return None, {
+            (u // n + 1, u % n + 1): Matrix(n, n, [row[size + u] for row in reduced], field)
+            for u in range(size)
+        }
+
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
@@ -137,6 +161,19 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap(n={self.n}, {self.field.name})"
+
+
+#: :func:`random_bijective_map` gives up after this many singular draws.
+BIJECTIVE_TRIES = 1000
+
+
+def random_bijective_map(rng: random.Random, n: int, field: Field) -> LinearMap:
+    """Rejection-sample an invertible operator on the n x n matrix space."""
+    for _ in range(BIJECTIVE_TRIES):
+        candidate = LinearMap(n=n, field=field, matrix=random_matrix(rng, n * n, field))
+        if candidate.is_bijective():
+            return candidate
+    raise RuntimeError("failed to sample an invertible operator")
 
 
 @dataclass(frozen=True)
@@ -334,7 +371,6 @@ def check_preserves(
     *,
     samples: int = 400,
     seed: int = 0,
-    budget: int | None = None,
 ) -> PreserverVerdict:
     """Decide whether a bijective operator maps the bounded-rank set into itself.
 
@@ -370,7 +406,7 @@ def check_preserves(
             return _verified_not_preserver(tmap, k, counter, detail)
         return PreserverVerdict(kind=PRESERVER, canonical=cp)
     if mode == "exhaustive":
-        counter = _exhaustive_counterexample(tmap, k, budget)
+        counter = _exhaustive_counterexample(tmap, k)
         if counter is not None:
             return _verified_not_preserver(tmap, k, counter, "exhaustive enumeration")
         try:
@@ -395,12 +431,12 @@ def _verified_not_preserver(tmap, k, counter, detail) -> PreserverVerdict:
     return PreserverVerdict(kind=NOT_PRESERVER, counterexample=counter, detail=detail)
 
 
-def _exhaustive_counterexample(tmap: LinearMap, k: int, budget: int | None):
+def _exhaustive_counterexample(tmap: LinearMap, k: int):
     field = tmap.field
     if not isinstance(field, PrimeField):
         raise BudgetExceeded("exhaustive mode needs a finite field")
     n, p = tmap.n, field.p
-    check_enumeration_budget(p ** (n * n), budget)
+    check_enumeration_budget(p ** (n * n), None)
     mask, member_digits = bounded_prk_table(n, p, k)
     t_int = np.array(tmap.matrix.data, dtype=np.int64).reshape(n * n, n * n)
     # blocks this small keep each int64 temporary to a few hundred KB, which
@@ -437,12 +473,8 @@ def _search_counterexample(tmap: LinearMap, k: int, *, seed: int, samples: int):
     # (b) the signed probe family, in deterministic order (each has prk k)
     probes = probe_family(n, k, field)
     # (c) members of each supported subspace, pushed through invariance ops
-    bases = (
-        canonical_basis(CanonicalSubspace(orientation, support), n, field)
-        for orientation in (ROW, COL)
-        for support in combinations(range(1, n + 1), k)
-    )
-    members = (random_subspace_member(rng, basis) for basis in bases for _ in range(3))
+    supported = maximal_subspaces(n, k)
+    members = (random_supported_member(rng, cs, n, field) for cs in supported for _ in range(3))
     # (d) rejection-sampled bounded-rank matrices
     return _first_escape(
         tmap, k, chain(units, probes, members, _bounded_samples(rng, n, k, field, samples))
@@ -456,7 +488,6 @@ def check_equality_variant(
     *,
     samples: int = 400,
     seed: int = 0,
-    budget: int | None = None,
 ) -> PreserverVerdict:
     """Check the two-sided variant, deriving bijectivity instead of assuming it.
 
@@ -468,30 +499,15 @@ def check_equality_variant(
     whether each unit preimage stays inside the bounded set.
     """
     _validate(tmap, k, samples)
-    n, field = tmap.n, tmap.field
-    size = n * n
-    # Reduce [T | I]: rows whose left half vanished span the left kernel of T,
-    # and E_c has no preimage exactly when a kernel row is nonzero at c, so
-    # the first unreachable unit is the least pivot in the right half.
-    zero, one = field.zero, field.one
-    aug = [
-        row + [one if r == c else zero for c in range(size)]
-        for r, row in enumerate(tmap.matrix.raw_rows())
-    ]
-    reduced, pivots = linalg.rref(aug, field)
-    c = next((p - size for p in pivots if p >= size), None)
-    if c is not None:
+    missing, preimages = tmap.unit_preimages()
+    if missing is not None:
         return PreserverVerdict(
             kind=NOT_BIJECTIVE,
-            detail=f"unit ({c // n + 1},{c % n + 1}) has no preimage; the map is not surjective",
+            detail=f"unit ({missing[0]},{missing[1]}) has no preimage; the map is not surjective",
         )
-    tmap._bijective = True  # invertible; spares check_preserves a second elimination
-    bad_units = []
-    for c in range(size):
-        pre = Matrix(n, n, [row[size + c] for row in reduced], field)
-        if not prk_decide_leq(pre, k):
-            bad_units.append((c // n + 1, c % n + 1))
-    verdict = check_preserves(tmap, k, mode=mode, samples=samples, seed=seed, budget=budget)
+    bad_units = [u for u, pre in preimages.items() if not prk_decide_leq(pre, k)]
+    # bijectivity is recorded, so check_preserves runs no second elimination
+    verdict = check_preserves(tmap, k, mode=mode, samples=samples, seed=seed)
     if bad_units:
         note = f"unit preimages of {bad_units} leave the bounded set"
         if verdict.kind == PRESERVER:

@@ -1,8 +1,9 @@
-"""Seeded random generators for matrices, permutations, and preserver inputs.
+"""Seeded random generators for matrices, permutations, and bounded-rank inputs.
 
 Everything takes an explicit ``random.Random`` so callers control
 reproducibility.  Rational scalars are drawn as small fractions to keep
-big-integer growth bounded.
+big-integer growth bounded.  A member of a supported subspace is drawn
+straight from its matrix units, one scalar per unit, with no elimination.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations, permutations as iter_permutations
 from .fields import Field, PrimeField, Scalar
 from .matrices import Matrix, Permutation, permutation_matrix, diagonal, zero_matrix
 from .permanent import prk_decide_leq
-from .subspace import COL, ROW, CanonicalSubspace, SubspaceBasis, canonical_basis
+from .subspace import COL, ROW, CanonicalSubspace
 
 
 def random_scalar(rng: random.Random, field: Field, *, nonzero: bool = False) -> Scalar:
@@ -112,10 +113,16 @@ def _random_probe(rng: random.Random, n: int, k: int, field: Field) -> Matrix:
     return _probe(n, field, i, m, j, l, extra_rows, extra_cols)
 
 
-def random_subspace_member(rng: random.Random, basis: SubspaceBasis) -> Matrix:
-    """A random member of the span of ``basis``, passed through up to two
-    random invariance operations (coefficients are drawn first)."""
-    member = basis.combination([random_scalar(rng, basis.field).value for _ in basis.basis])
+def random_supported_member(
+    rng: random.Random, cs: CanonicalSubspace, n: int, field: Field
+) -> Matrix:
+    """A random member of the supported subspace ``cs`` of ``Mat_n``, passed
+    through up to two random invariance operations (one coefficient per unit
+    of :meth:`CanonicalSubspace.units` is drawn first, in that order)."""
+    vals = [field.zero] * (n * n)
+    for i, j in cs.units(n):
+        vals[(i - 1) * n + (j - 1)] = random_scalar(rng, field).value
+    member = Matrix(n, n, vals, field)
     for _ in range(rng.randrange(3)):
         member = random_invariance_op(rng, member)
     return member
@@ -135,28 +142,13 @@ def sample_bounded_prk(rng: random.Random, n: int, k: int, field: Field) -> Matr
     while True:
         strategy = rng.randrange(6)
         if strategy < 3:
-            orientation = rng.choice((ROW, COL))
-            support = tuple(sorted(rng.sample(range(1, n + 1), k)))
-            basis = canonical_basis(CanonicalSubspace(orientation, support), n, field)
-            candidate = random_subspace_member(rng, basis)
+            cs = CanonicalSubspace(rng.choice((ROW, COL)), rng.sample(range(1, n + 1), k))
+            candidate = random_supported_member(rng, cs, n, field)
         elif strategy < 5 and n >= max(k + 1, 2):
-            candidate = _random_probe(rng, n, k, field)
-            scale = random_scalar(rng, field, nonzero=True)
-            candidate = candidate.scale(scale)
+            candidate = _random_probe(rng, n, k, field).scale(random_scalar(rng, field, nonzero=True))
             for _ in range(rng.randrange(2)):
                 candidate = random_invariance_op(rng, candidate)
         else:
             candidate = random_matrix(rng, n, field)
         if prk_decide_leq(candidate, k):
             return candidate
-
-
-def random_bijective_map(rng: random.Random, n: int, field: Field, *, max_tries: int = 1000):
-    """Rejection-sample an invertible operator on the n x n matrix space."""
-    from .preserver import LinearMap
-
-    for _ in range(max_tries):
-        candidate = LinearMap(n=n, field=field, matrix=random_matrix(rng, n * n, field))
-        if candidate.is_bijective():
-            return candidate
-    raise RuntimeError("failed to sample an invertible operator")

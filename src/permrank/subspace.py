@@ -4,10 +4,11 @@ Subspaces are represented by explicit bases of matrices.  Each
 :class:`SubspaceBasis` reduces its row-major vectorized basis once, when it is
 built, on every construction path: that one reduction checks independence,
 and its reduced rows, a canonical form of the subspace, serve equality,
-intersection and membership.  The module also classifies
-subspaces of maximal dimension inside a bounded-permanental-rank set: for
-n >= 3 those are exactly the row-supported and column-supported spaces, and
-:func:`classify_maximal` recognizes them.  "Maximal" means "of maximal
+intersection and membership.  A row- or column-supported subspace is a
+:class:`CanonicalSubspace`, its orientation and support, which lists its
+matrix units.  For n >= 3 these are exactly the subspaces of maximal
+dimension inside a bounded-permanental-rank set, and :func:`classify_maximal`
+recognizes them by support and dimension.  "Maximal" means "of maximal
 dimension" throughout, not maximal under inclusion.  At n = 2 the
 characterization fails: {prk <= 1} over F_p holds 2(p+1) planes, since a 2x2
 permanent is the determinant of [[a, -b], [c, d]], a split quadratic form;
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -143,17 +145,32 @@ class CanonicalSubspace:
             raise InvalidRange("support must be a nonempty set of indices")
         object.__setattr__(self, "support", support)
 
+    @property
+    def label(self) -> str:
+        prefix = "R" if self.orientation == ROW else "C"
+        return prefix + "{" + ",".join(str(i) for i in self.support) + "}"
+
+    def units(self, n: int) -> list:
+        """Positions ``(i, j)`` of the matrix units spanning the subspace in
+        ``Mat_n``, in row-major order; dim = |S| * n."""
+        for i in self.support:
+            if not (1 <= i <= n):
+                raise IndexOutOfRange(f"support index {i} outside 1..{n}")
+        if self.orientation == ROW:
+            return [(i, j) for i in self.support for j in range(1, n + 1)]
+        return [(i, j) for i in range(1, n + 1) for j in self.support]
+
+
+def maximal_subspaces(n: int, k: int) -> tuple:
+    """The supported subspaces with k-element supports: rows, then columns,
+    each with supports in lexicographic order."""
+    supports = list(combinations(range(1, n + 1), k))
+    return tuple(CanonicalSubspace(o, s) for o in (ROW, COL) for s in supports)
+
 
 def canonical_basis(cs: CanonicalSubspace, n: int, field: Field) -> SubspaceBasis:
     """Matrix-unit basis of a row/column-supported subspace; dim = |S| * n."""
-    for i in cs.support:
-        if not (1 <= i <= n):
-            raise IndexOutOfRange(f"support index {i} outside 1..{n}")
-    if cs.orientation == ROW:
-        units = [unit(i, j, n, field) for i in cs.support for j in range(1, n + 1)]
-    else:
-        units = [unit(i, j, n, field) for i in range(1, n + 1) for j in cs.support]
-    return SubspaceBasis(n, field, units)
+    return SubspaceBasis(n, field, [unit(i, j, n, field) for i, j in cs.units(n)])
 
 
 @dataclass(frozen=True)
@@ -222,15 +239,17 @@ def within_prk_bound(
 def classify_maximal(v: SubspaceBasis, k: int) -> CanonicalSubspace | None:
     """Recognize a bounded-rank subspace of maximal dimension.
 
-    Returns the matching row/column-supported description when ``v`` equals
-    one as a set (dimension ``k*n`` and echelon forms agree), else ``None``.
+    Returns the row/column-supported subspace that ``v`` equals as a set,
+    else ``None``.  Support and dimension decide it without elimination: a
+    basis with entries in k rows spans part of those rows' k*n-dimensional
+    span, so at dimension ``k*n`` the two are equal, and with fewer rows the
+    dimension cannot reach ``k*n``; likewise for columns.  Rows and columns
+    cannot both number k, as ``v`` would then lie in a span of dimension
+    k^2 < k*n.
     That these are all the subspaces of dimension ``k*n`` inside
     {prk <= k} needs n >= 3: at n = 2 other planes lie inside {prk <= 1}
-    (see the module docstring), and they get ``None`` here.
-    The candidate support can be read off the basis, so only two echelon
-    comparisons are ever needed; a canonical basis lists its matrix units in
-    pivot order, so building it reduces without arithmetic.  Raises :class:`InvalidRange` unless
-    ``1 <= k <= n-1``.
+    (see the module docstring), and they get ``None`` here.  Raises
+    :class:`InvalidRange` unless ``1 <= k <= n-1``.
     """
     n = v.n
     if not 1 <= k <= n - 1:
@@ -238,18 +257,11 @@ def classify_maximal(v: SubspaceBasis, k: int) -> CanonicalSubspace | None:
     if v.dim != k * n:
         return None
     zero = v.field.zero
-    row_support, col_support = set(), set()
-    for m in v.basis:
-        for pos, val in enumerate(m.data):
-            if val != zero:
-                row_support.add(pos // n + 1)
-                col_support.add(pos % n + 1)
+    nonzero = {pos for m in v.basis for pos, val in enumerate(m.data) if val != zero}
+    row_support = {pos // n + 1 for pos in nonzero}
+    col_support = {pos % n + 1 for pos in nonzero}
     if len(row_support) == k:
-        cs = CanonicalSubspace(ROW, tuple(sorted(row_support)))
-        if v.equals(canonical_basis(cs, n, v.field)):
-            return cs
+        return CanonicalSubspace(ROW, tuple(row_support))
     if len(col_support) == k:
-        cs = CanonicalSubspace(COL, tuple(sorted(col_support)))
-        if v.equals(canonical_basis(cs, n, v.field)):
-            return cs
+        return CanonicalSubspace(COL, tuple(col_support))
     return None

@@ -1,7 +1,8 @@
 """The maximal subspace graph and its threshold subgraph.
 
-Vertices are the bounded-rank subspaces of maximal dimension (row- and
-column-supported, one per k-element support set; that these are all of them
+Vertices are the bounded-rank subspaces of maximal dimension, the
+:class:`~permrank.subspace.CanonicalSubspace` values of
+:func:`~permrank.subspace.maximal_subspaces` (that these are all of them
 needs n >= 3, see :mod:`permrank.subspace`); the complete graph carries the
 dimension of the pairwise intersection as edge weight.  Weights follow the
 closed form
@@ -24,21 +25,10 @@ from itertools import combinations
 
 from .errors import InvalidRange, TooLarge, VerificationError
 from .fields import PrimeField
-from .subspace import COL, ROW, CanonicalSubspace, canonical_basis
+from .subspace import CanonicalSubspace, canonical_basis, maximal_subspaces
 
 #: Complete-graph storage gets impractical beyond this ambient size.
 MAX_N = 12
-
-
-@dataclass(frozen=True)
-class ThetaVertex:
-    orientation: str
-    support: tuple
-
-    @property
-    def label(self) -> str:
-        prefix = "R" if self.orientation == ROW else "C"
-        return prefix + "{" + ",".join(str(i) for i in self.support) + "}"
 
 
 @dataclass(frozen=True)
@@ -72,14 +62,7 @@ class ThetaHat:
     threshold: int
 
 
-def _vertices(n: int, k: int) -> tuple:
-    supports = list(combinations(range(1, n + 1), k))
-    return tuple(
-        [ThetaVertex(ROW, s) for s in supports] + [ThetaVertex(COL, s) for s in supports]
-    )
-
-
-def pair_weight(n: int, u: ThetaVertex, v: ThetaVertex) -> int:
+def pair_weight(n: int, u: CanonicalSubspace, v: CanonicalSubspace) -> int:
     """Closed-form intersection dimension of two maximal subspaces."""
     if u.orientation != v.orientation:
         return len(u.support) * len(v.support)
@@ -102,10 +85,9 @@ def build_theta(n: int, k: int) -> ThetaGraph:
         raise InvalidRange(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if n > MAX_N:
         raise TooLarge(f"n={n} exceeds the dense-graph guard {MAX_N}")
-    vertices = _vertices(n, k)
-    weights = {}
-    for u, v in combinations(range(len(vertices)), 2):
-        weights[(u, v)] = pair_weight(n, vertices[u], vertices[v])
+    vertices = maximal_subspaces(n, k)
+    pairs = combinations(range(len(vertices)), 2)
+    weights = {(u, v): pair_weight(n, vertices[u], vertices[v]) for u, v in pairs}
     return ThetaGraph(n=n, k=k, vertices=vertices, weights=weights)
 
 
@@ -113,10 +95,7 @@ def weight_mismatches(graph: ThetaGraph):
     """Yield ``(u, v, weight, echelon)`` for every edge whose stored weight
     differs from an echelon-based intersection dimension, in edge order."""
     field = PrimeField(3)
-    bases = [
-        canonical_basis(CanonicalSubspace(v.orientation, v.support), graph.n, field)
-        for v in graph.vertices
-    ]
+    bases = [canonical_basis(v, graph.n, field) for v in graph.vertices]
     for u, v, w in graph.edges():
         got = bases[u].intersect(bases[v]).dim
         if got != w:

@@ -31,7 +31,8 @@ from permrank import (
     verify_forward_exhaustive,
     verify_invariance,
 )
-from permrank.sampling import random_bijective_map, random_matrix
+from permrank.preserver import random_bijective_map
+from permrank.sampling import random_matrix
 
 from oracle import prk_oracle, random_canonical_preserver, witness_is_valid
 

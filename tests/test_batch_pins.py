@@ -23,7 +23,8 @@ from permrank import (
     compose_canonical,
     within_prk_bound,
 )
-from permrank.sampling import random_bijective_map, random_matrix
+from permrank.preserver import random_bijective_map
+from permrank.sampling import random_matrix
 
 from oracle import random_canonical_preserver
 

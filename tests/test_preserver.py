@@ -38,10 +38,9 @@ from permrank.errors import (
     UnitImageNotMonomial,
     UnsupportedSize,
 )
-from permrank.preserver import _search_counterexample
+from permrank.preserver import _search_counterexample, random_bijective_map
 from permrank.sampling import (
     probe_family,
-    random_bijective_map,
     random_matrix,
     random_scalar,
     sample_bounded_prk,

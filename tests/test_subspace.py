@@ -27,7 +27,8 @@ from permrank.errors import (
     InvalidRange,
     ShapeMismatch,
 )
-from permrank.sampling import random_bijective_map, random_matrix
+from permrank.preserver import random_bijective_map
+from permrank.sampling import random_matrix
 from permrank import linalg
 
 

@@ -24,11 +24,10 @@ from permrank import (
     verify_theta,
 )
 from permrank.errors import InvalidRange, TooLarge
-from permrank.theta import ThetaVertex
 
 
 def _index(graph, orientation, support):
-    target = ThetaVertex(orientation, tuple(sorted(support)))
+    target = CanonicalSubspace(orientation, tuple(sorted(support)))
     return graph.vertices.index(target)
 
 
@@ -170,7 +169,8 @@ class TestSupportPath:
                 assert len(a) == len(b) == k
                 assert len(set(a) & set(b)) == k - 1
                 # consecutive vertices are adjacent in the threshold subgraph
-                assert pair_weight(n, ThetaVertex(ROW, a), ThetaVertex(ROW, b)) == n * (k - 1)
+                u, v = CanonicalSubspace(ROW, a), CanonicalSubspace(ROW, b)
+                assert pair_weight(n, u, v) == n * (k - 1)
 
     def test_trivial_path(self):
         assert interpolating_supports((1, 2), (1, 2)) == [(1, 2)]
